@@ -283,9 +283,10 @@ func BenchmarkCampaign(b *testing.B) {
 }
 
 // BenchmarkCampaignSharded measures the distributed coordinator's cost:
-// the same one-week fast-engine campaign at 1 and 8 shards. On a machine
-// with spare cores, domains/sec scales near-linearly up to
-// min(shards, GOMAXPROCS); on a single core the 8-shard run must still
+// the same one-week fast-engine campaign at 1 and 8 shards of 4 workers.
+// On a machine with spare cores, domains/sec scales near-linearly up to
+// min(shards × workers, GOMAXPROCS) / min(workers, GOMAXPROCS); where
+// the 1-shard run already fills every core the 8-shard run must still
 // stay within a constant factor of unsharded throughput (the coordinator,
 // per-shard journals and merge are overhead, not work amplification).
 // scripts/bench.sh gates both properties self-relatively, calibrated to

@@ -82,7 +82,7 @@ func Compact(fs FS, dir string, retain func(key string) bool) (CompactStats, err
 	cs.Kept = len(kept)
 
 	if len(kept) > 0 {
-		final := joinPath(dir, compactName(st.maxGen+1))
+		final := joinPath(dir, compactName(maxGen(names)+1))
 		tmp := final + ".tmp"
 		f, err := fs.Create(tmp)
 		if err != nil {

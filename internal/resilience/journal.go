@@ -26,6 +26,17 @@ import (
 //     replay resolves duplicate keys — across segments, shards and process
 //     restarts — to the last complete record deterministically, regardless
 //     of directory iteration order.
+//   - Sequence numbers derive from segment generations, so opening a
+//     journal reads only the directory listing, never a record. A handle
+//     opened over a directory whose highest segment generation is maxGen
+//     issues seqs from (maxGen+1)<<32 + 1 upwards and writes only segments
+//     of generation ≥ maxGen+1. Hence every record in a generation-g
+//     segment has seq < (g+1)<<32: compact-<g> keeps its inputs' seqs,
+//     which came from generations < g, and generations skipped by a failed
+//     segment open only widen the gap. The next handle's base therefore
+//     lies above every seq on disk. Journals written before generation
+//     bases hold small seqs, which stay below any base. The scheme assumes
+//     fewer than 2^32 records per handle and generations below 2^31.
 //   - A journal instance only ever appends to segments it created itself
 //     (each open starts a fresh generation), so existing journal bytes are
 //     never touched, let alone corrupted, by later runs.
@@ -121,7 +132,8 @@ type shardWriter struct {
 	f        File
 	size     int64
 	unsynced int
-	broken   bool // a write failed: never append to this segment again
+	broken   bool   // a write failed: never append to this segment again
+	line     []byte // record assembly buffer, reused under mu
 }
 
 type journalRecord struct {
@@ -136,22 +148,26 @@ func OpenJournal(dir string) (*Journal, error) {
 }
 
 // OpenJournalWith creates (or reuses) dir and returns a journal that
-// appends to fresh segment files inside it. When the directory already
-// holds segments, their records are scanned once so new sequence numbers
-// continue above every existing one — the invariant replay's
-// last-complete-wins resolution rests on.
+// appends to fresh segment files inside it. It lists the directory but
+// reads no segment: new sequence numbers start above every existing one
+// because they derive from the next segment generation (see Journal) —
+// the invariant replay's last-complete-wins resolution rests on.
 func OpenJournalWith(dir string, cfg JournalConfig) (*Journal, error) {
 	fs := fsOrOS(cfg.FS)
 	if err := fs.MkdirAll(dir); err != nil {
 		return nil, fmt.Errorf("resilience: create checkpoint dir: %w", err)
 	}
-	j := &Journal{dir: dir, cfg: cfg, fs: fs, shards: map[int]*shardWriter{}}
-	_, st, err := scanJournal(fs, dir)
+	names, err := fs.ReadDir(dir)
 	if err != nil {
-		return nil, fmt.Errorf("resilience: scan checkpoint dir: %w", err)
+		return nil, fmt.Errorf("resilience: read checkpoint dir: %w", err)
 	}
-	j.seq.Store(st.maxSeq)
-	j.nextGen.Store(st.maxGen + 1)
+	gen := maxGen(names) + 1
+	if gen >= 1<<31 {
+		return nil, fmt.Errorf("resilience: checkpoint segment generation %d exhausts the sequence space", gen)
+	}
+	j := &Journal{dir: dir, cfg: cfg, fs: fs, shards: map[int]*shardWriter{}}
+	j.seq.Store(gen << 32)
+	j.nextGen.Store(gen)
 	return j, nil
 }
 
@@ -181,6 +197,19 @@ func segGen(name string) int64 {
 	return gen
 }
 
+// maxGen returns the highest generation among the .jsonl segment names.
+func maxGen(names []string) int64 {
+	var top int64
+	for _, name := range names {
+		if strings.HasSuffix(name, ".jsonl") {
+			if g := segGen(name); g > top {
+				top = g
+			}
+		}
+	}
+	return top
+}
+
 // Append journals one key/value record to the given shard. The value is
 // marshalled to JSON and the whole line is written with one Write so it is
 // either fully present or torn (never interleaved with another record —
@@ -203,11 +232,6 @@ func (j *Journal) Append(shard int, key string, v any) error {
 		j.stats.probes.Add(1)
 	}
 	seq := j.seq.Add(1)
-	line, err := json.Marshal(journalRecord{K: key, S: seq, V: raw})
-	if err != nil {
-		return fmt.Errorf("resilience: marshal checkpoint line: %w", err)
-	}
-	line = append(line, '\n')
 
 	j.mu.Lock()
 	w := j.shards[shard]
@@ -220,7 +244,8 @@ func (j *Journal) Append(shard int, key string, v any) error {
 	// Shards are written by a single worker each; the per-writer mutex
 	// only guards against rotation racing a close.
 	w.mu.Lock()
-	err = j.appendLocked(w, shard, line)
+	w.line = appendRecordLine(w.line[:0], key, seq, raw)
+	err = j.appendLocked(w, shard, w.line)
 	w.mu.Unlock()
 	if err != nil {
 		j.stats.writeFailures.Add(1)
@@ -237,6 +262,43 @@ func (j *Journal) Append(shard int, key string, v any) error {
 	j.stats.appends.Add(1)
 	j.count.Add(1)
 	return nil
+}
+
+// appendRecordLine appends the JSONL form of journalRecord{key, seq, raw}
+// to dst: byte for byte what json.Marshal of the record plus "\n" yields,
+// without re-validating and re-compacting raw, which json.Marshal already
+// produced in canonical form. Keys that need escaping (rare: checkpoint
+// keys are plain ASCII) go through the json encoder.
+func appendRecordLine(dst []byte, key string, seq int64, raw []byte) []byte {
+	dst = append(dst, `{"k":`...)
+	if plainJSONString(key) {
+		dst = append(dst, '"')
+		dst = append(dst, key...)
+		dst = append(dst, '"')
+	} else {
+		k, _ := json.Marshal(key) // a string always marshals
+		dst = append(dst, k...)
+	}
+	if seq != 0 { // omitempty
+		dst = append(dst, `,"s":`...)
+		dst = strconv.AppendInt(dst, seq, 10)
+	}
+	dst = append(dst, `,"v":`...)
+	dst = append(dst, raw...)
+	return append(dst, "}\n"...)
+}
+
+// plainJSONString reports whether s encodes as a JSON string verbatim:
+// printable ASCII with nothing encoding/json escapes (quotes, backslash,
+// and the HTML-sensitive <, >, &).
+func plainJSONString(s string) bool {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c < 0x20 || c > 0x7e, c == '"', c == '\\', c == '<', c == '>', c == '&':
+			return false
+		}
+	}
+	return true
 }
 
 // appendLocked writes one line to w's segment, rotating first when the
@@ -366,8 +428,6 @@ type segRecord struct {
 
 type scanStats struct {
 	torn     int
-	maxSeq   int64
-	maxGen   int64
 	segments int
 	records  int
 }
@@ -389,9 +449,6 @@ func scanJournal(fs FS, dir string) (map[string]*segRecord, scanStats, error) {
 		if !strings.HasSuffix(name, ".jsonl") {
 			continue
 		}
-		if g := segGen(name); g > st.maxGen {
-			st.maxGen = g
-		}
 		fileIdx := st.segments
 		st.segments++
 		f, err := fs.Open(joinPath(dir, name))
@@ -406,9 +463,6 @@ func scanJournal(fs FS, dir string) (map[string]*segRecord, scanStats, error) {
 				var rec journalRecord
 				if complete && json.Unmarshal(line, &rec) == nil && rec.K != "" {
 					st.records++
-					if rec.S > st.maxSeq {
-						st.maxSeq = rec.S
-					}
 					prev := out[rec.K]
 					// Last complete record wins: higher seq, or — for
 					// legacy seq-less ties — later (file, line) position.

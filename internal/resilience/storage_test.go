@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 )
 
@@ -757,4 +759,210 @@ type failCloseFile struct{ File }
 func (f failCloseFile) Close() error {
 	f.File.Close()
 	return fmt.Errorf("close: %w", ErrIO)
+}
+
+// appendRound opens dir, appends key=val through shard 0 and closes.
+func appendRound(t *testing.T, dir, key string, val int) {
+	t.Helper()
+	j, err := OpenJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Append(0, key, val); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// replayedInt replays dir and decodes key's value.
+func replayedInt(t *testing.T, dir, key string) int {
+	t.Helper()
+	got, _, err := Replay(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var v int
+	if err := json.Unmarshal(got[key], &v); err != nil {
+		t.Fatalf("key %q = %s: %v", key, got[key], err)
+	}
+	return v
+}
+
+// TestJournalSeqBaseAfterCompact: the compacted segment keeps its inputs'
+// sequence numbers under a higher generation, so a handle reopened after
+// compaction must still out-rank every compacted record — including after
+// a compaction that dropped every key and left the directory empty.
+func TestJournalSeqBaseAfterCompact(t *testing.T) {
+	dir := t.TempDir()
+	for round := 1; round <= 3; round++ {
+		appendRound(t, dir, "k", round)
+		appendRound(t, dir, "other", round)
+	}
+	if _, err := Compact(nil, dir, nil); err != nil {
+		t.Fatal(err)
+	}
+	appendRound(t, dir, "k", 4)
+	if v := replayedInt(t, dir, "k"); v != 4 {
+		t.Fatalf("after compact: k = %d, want 4", v)
+	}
+	// Compact again over compact + fresh segments, then reopen twice.
+	if _, err := Compact(nil, dir, nil); err != nil {
+		t.Fatal(err)
+	}
+	appendRound(t, dir, "k", 5)
+	appendRound(t, dir, "k", 6)
+	if v := replayedInt(t, dir, "k"); v != 6 {
+		t.Fatalf("after second compact: k = %d, want 6", v)
+	}
+	if v := replayedInt(t, dir, "other"); v != 3 {
+		t.Fatalf("untouched key other = %d, want 3", v)
+	}
+
+	// All dropped: the directory empties and sequence numbering restarts
+	// from the lowest base, which nothing on disk can out-rank.
+	if _, err := Compact(nil, dir, func(string) bool { return false }); err != nil {
+		t.Fatal(err)
+	}
+	appendRound(t, dir, "k", 7)
+	appendRound(t, dir, "k", 8)
+	if v := replayedInt(t, dir, "k"); v != 8 {
+		t.Fatalf("after all-dropped compact: k = %d, want 8", v)
+	}
+}
+
+// TestJournalSeqBaseAfterSkippedGenerations: segment opens that fail under
+// a FaultFS OpenErr plan consume generations without writing a segment.
+// The records that did land, and those of the next handle, must still
+// replay newest-first.
+func TestJournalSeqBaseAfterSkippedGenerations(t *testing.T) {
+	dir := t.TempDir()
+	appendRound(t, dir, "k", 0)
+
+	fs := NewFaultFS(nil, StorageFaultPlan{Seed: 3, OpenErr: 0.5})
+	j, err := OpenJournalWith(dir, JournalConfig{FS: fs, SegmentBytes: 64, DegradeAfter: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := 0
+	for i := 1; i <= 60; i++ {
+		if j.Append(i%2, "k", i) == nil {
+			last = i
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if fs.Injected() == 0 || last == 0 {
+		t.Fatalf("plan injected %d faults, last ack %d: want both non-zero", fs.Injected(), last)
+	}
+	names, _ := OSFS.ReadDir(dir)
+	if got, want := int64(len(names)), maxGen(names); got >= want {
+		t.Fatalf("%d segments up to generation %d: no generation was skipped", got, want)
+	}
+	if v := replayedInt(t, dir, "k"); v != last {
+		t.Fatalf("after skipped generations: k = %d, want last ack %d", v, last)
+	}
+	appendRound(t, dir, "k", 1000)
+	if v := replayedInt(t, dir, "k"); v != 1000 {
+		t.Fatalf("reopened after skipped generations: k = %d, want 1000", v)
+	}
+}
+
+// TestJournalSeqBaseOverLegacyJournal: a directory written before
+// sequence numbers derived from generations holds small seqs (and, older
+// still, seq-less lines). A handle opened over it must out-rank both.
+func TestJournalSeqBaseOverLegacyJournal(t *testing.T) {
+	dir := t.TempDir()
+	files := map[string]string{
+		"shard-000.jsonl": `{"k":"a","v":1}` + "\n" + `{"k":"legacy","v":1}` + "\n",
+		segmentName(0, 1): `{"k":"a","s":5,"v":2}` + "\n" + `{"k":"b","s":6,"v":2}` + "\n",
+		segmentName(1, 2): `{"k":"b","s":9,"v":3}` + "\n" + `{"k":"c","s":10,"v":3}` + "\n",
+		compactName(3):    `{"k":"c","s":11,"v":4}` + "\n",
+	}
+	for name, body := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j, err := OpenJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"a", "b", "c"} {
+		if err := j.Append(0, k, 100); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"a", "b", "c"} {
+		if v := replayedInt(t, dir, k); v != 100 {
+			t.Errorf("%s = %d over a legacy journal, want the new record 100", k, v)
+		}
+	}
+	if v := replayedInt(t, dir, "legacy"); v != 1 {
+		t.Errorf("legacy-only key = %d, want 1", v)
+	}
+}
+
+// openCountFS counts reads (Open calls) per path.
+type openCountFS struct {
+	FS
+	mu    sync.Mutex
+	opens map[string]int
+}
+
+func (c *openCountFS) Open(path string) (io.ReadCloser, error) {
+	c.mu.Lock()
+	c.opens[path]++
+	c.mu.Unlock()
+	return c.FS.Open(path)
+}
+
+// TestJournalOpenReadsNoSegment pins OpenJournalWith's cost at one
+// directory listing: opening a populated journal reads no segment, so a
+// follow campaign stops paying per week for the journal's history.
+func TestJournalOpenReadsNoSegment(t *testing.T) {
+	dir := t.TempDir()
+	for round := 0; round < 3; round++ {
+		j, err := OpenJournalWith(dir, JournalConfig{SegmentBytes: 256})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 40; i++ {
+			if err := j.Append(i%3, fmt.Sprintf("d%d", i), i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fs := &openCountFS{FS: OSFS, opens: map[string]int{}}
+	j, err := OpenJournalWith(dir, JournalConfig{FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if len(fs.opens) != 0 {
+		t.Fatalf("OpenJournalWith read segments: %v", fs.opens)
+	}
+}
+
+// TestJournalOpenRejectsExhaustedGeneration: a segment name whose
+// generation leaves no room for a sequence base (a foreign or corrupted
+// file name) fails the open instead of wrapping seqs negative.
+func TestJournalOpenRejectsExhaustedGeneration(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, segmentName(0, 1<<31-1)), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenJournal(dir); err == nil {
+		t.Fatal("open over generation 2^31-1 succeeded, want an error")
+	}
 }

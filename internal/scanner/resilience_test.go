@@ -3,8 +3,11 @@ package scanner
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net/netip"
+	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"quicspin/internal/dns"
@@ -376,5 +379,53 @@ func TestValidateResilienceConfig(t *testing.T) {
 	}
 	if err := (Config{Breaker: resilience.BreakerConfig{Threshold: -1}}).Validate(); err == nil {
 		t.Error("negative Breaker.Threshold must be rejected")
+	}
+}
+
+// openCountFS counts segment reads (Open calls) per path.
+type openCountFS struct {
+	resilience.FS
+	mu    sync.Mutex
+	opens map[string]int
+}
+
+func (c *openCountFS) Open(path string) (io.ReadCloser, error) {
+	c.mu.Lock()
+	c.opens[path]++
+	c.mu.Unlock()
+	return c.FS.Open(path)
+}
+
+// TestResumeReadsEachSegmentOnce pins the cost of a resumed stream at one
+// pass over the journal: the replay reads each segment once, and opening
+// the journal for appending reads none.
+func TestResumeReadsEachSegmentOnce(t *testing.T) {
+	w := testWorld(60_000)
+	dir := t.TempDir()
+	cfg := Config{Week: 1, Engine: EngineFast, Seed: 5, Workers: 2, Checkpoint: dir}
+	cfg.Journal.SegmentBytes = 4096
+	cfg.InterruptAfter = int64(len(w.Domains) / 2)
+	if err := RunStream(w, cfg, func(int, *DomainResult) error { return nil }); !errors.Is(err, ErrInterrupted) {
+		t.Fatalf("interrupted stream error = %v, want ErrInterrupted", err)
+	}
+	names, err := resilience.OSFS.ReadDir(dir)
+	if err != nil || len(names) < 2 {
+		t.Fatalf("journal holds %v (err %v), want several segments", names, err)
+	}
+
+	fs := &openCountFS{FS: resilience.OSFS, opens: map[string]int{}}
+	cfg.InterruptAfter = 0
+	cfg.Resume = true
+	cfg.Journal.FS = fs
+	if err := RunStream(w, cfg, func(int, *DomainResult) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if len(fs.opens) != len(names) {
+		t.Errorf("resume read %d files, journal held %d segments", len(fs.opens), len(names))
+	}
+	for _, name := range names {
+		if n := fs.opens[filepath.Join(dir, name)]; n != 1 {
+			t.Errorf("segment %s read %d times, want 1", name, n)
+		}
 	}
 }

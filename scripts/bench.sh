@@ -76,11 +76,13 @@ parse_scale() {
 }
 
 # Sharded scaling gate: BenchmarkCampaignSharded runs the same fast-engine
-# campaign at 1 and 8 shards. The gate is self-relative (no recorded
-# baseline) and calibrated to the host: perfect scaling is
-# min(shards, cores), and the 8-shard run must reach at least half of it —
-# on a single core that degenerates to "sharding costs at most 2×", i.e.
-# the coordinator/journal/merge overhead stays bounded. Allocations per op
+# campaign at 1 and 8 shards, each shard with 4 workers. The gate is
+# self-relative (no recorded baseline) and calibrated to the host: the
+# 1-shard run already keeps min(workers, cores) cores busy, so perfect
+# scaling is min(shards × workers, cores) / min(workers, cores), and the
+# 8-shard run must reach at least half of it — wherever cores ≤ workers
+# that degenerates to "sharding costs at most 2×", i.e. the
+# coordinator/journal/merge overhead stays bounded. Allocations per op
 # may grow only by the fixed per-shard state (8 journals, 8 campaign
 # accumulators), gated at +30 %.
 run_sharded() { # $1 = scale
@@ -104,7 +106,7 @@ check_sharded() { # $1 = scale
     if [ "$1" -ge 100000 ]; then
         amax=1.40
     fi
-    awk -v cores="$cores" -v amax="$amax" '
+    awk -v cores="$cores" -v amax="$amax" -v shards=8 -v workers=4 '
     function keep(key, v, takeMax) {
         if (!(key in m)) { m[key] = v; return }
         if (takeMax) { if (v + 0 > m[key] + 0) m[key] = v }
@@ -128,13 +130,15 @@ check_sharded() { # $1 = scale
             print "sharded benchmark produced no metrics" > "/dev/stderr"
             exit 1
         }
-        expected = cores < 8 ? cores : 8
+        busy8 = shards * workers < cores ? shards * workers : cores
+        busy1 = workers < cores ? workers : cores
+        expected = busy8 / busy1
         floor = 0.5 * expected
         eff = ds8 / ds1
         printf "sharded scaling: %.2fx at 8 shards (%d cores, floor %.2fx); allocs/op %.0f -> %.0f (%.2fx)\n", \
             eff, cores, floor, a1, a8, a8 / a1
         if (eff < floor) {
-            printf "8-shard throughput %.2fx below floor %.2fx (expected ~min(shards, cores))\n", eff, floor > "/dev/stderr"
+            printf "8-shard throughput %.2fx below floor %.2fx (ideal %.2fx)\n", eff, floor, expected > "/dev/stderr"
             exit 1
         }
         if (a8 > a1 * amax) {
@@ -152,6 +156,13 @@ check_sharded() { # $1 = scale
 # wall-clock on a shared single-core host is ±20 % noisy. The unjournaled
 # hot path is separately gated against BENCH_PR5.json by the
 # BenchmarkCampaign comparison.
+#
+# The layer microbenchmarks in internal/resilience follow: the
+# BenchmarkJournalAppend figure is recorded for the log, and
+# BenchmarkJournalOpen times opening a journal over the same 8 segments
+# holding 1x and 8x the records. Opening reads only the directory listing,
+# so the 8x open must take at most 1.5x the 1x open (best of 3 each): a
+# host-portable ratio that fails as soon as open scans records again.
 check_journal() { # $1 = scale
     echo "== BenchmarkCampaignJournal at QUICSPIN_SCALE=$1" >&2
     QUICSPIN_SCALE=$1 go test -run '^$' -bench '^BenchmarkCampaignJournal$' \
@@ -192,6 +203,40 @@ check_journal() { # $1 = scale
             exit 1
         }
     }' "$tmp/journal-$1.txt"
+
+    echo "== BenchmarkJournalAppend, BenchmarkJournalOpen" >&2
+    go test -run '^$' -bench '^BenchmarkJournal(Append|Open)$' \
+        -benchmem -benchtime 200ms -count 3 ./internal/resilience >"$tmp/journal-layer.txt" 2>&1 || {
+        cat "$tmp/journal-layer.txt" >&2
+        exit 1
+    }
+    grep -E '^BenchmarkJournal' "$tmp/journal-layer.txt" >&2 || true
+    awk '
+    function keep(key, v) {
+        if (!(key in m) || v + 0 < m[key] + 0) m[key] = v
+    }
+    /^BenchmarkJournal(Append|Open)/ {
+        split($1, parts, "/")
+        if (parts[1] ~ /^BenchmarkJournalAppend/) b = "append"
+        else b = (parts[2] ~ /^records-1x(-[0-9]+)?$/) ? "open1" : "open8"
+        for (i = 2; i < NF; i++) {
+            if ($(i + 1) == "ns/op")     keep(b ",ns", $i)
+            if ($(i + 1) == "allocs/op") keep(b ",allocs", $i)
+        }
+    }
+    END {
+        o1 = m["open1,ns"]; o8 = m["open8,ns"]
+        if (m["append,ns"] == "" || o1 == "" || o8 == "") {
+            print "journal layer benchmarks produced no metrics" > "/dev/stderr"
+            exit 1
+        }
+        printf "journal append: %.0f ns/op, %.0f allocs/op; open over 8x records: %.2fx the 1x time\n", \
+            m["append,ns"], m["append,allocs"], o8 / o1
+        if (o8 > o1 * 1.5) {
+            printf "journal open over 8x records %.0f ns vs %.0f ns over 1x (> 1.5x): open reads records\n", o8, o1 > "/dev/stderr"
+            exit 1
+        }
+    }' "$tmp/journal-layer.txt"
 }
 
 # Flow-table ingest gate: BenchmarkFlowtableIngest pushes a churning

@@ -74,6 +74,7 @@ fuzz_smoke ./internal/h3 FuzzH3Request
 fuzz_smoke ./internal/analysis FuzzAccumulatorUnmarshal
 fuzz_smoke ./internal/shard FuzzSubmissionFrame
 fuzz_smoke ./internal/flowtable FuzzFlowIngest
+fuzz_smoke ./internal/resilience FuzzJournalLine
 
 # Interrupt-and-resume smoke: SIGKILL a real spinscan campaign mid-run,
 # resume it from the checkpoint journal, and require the rendered tables to
