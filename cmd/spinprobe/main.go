@@ -82,7 +82,7 @@ func main() {
 			if err != nil {
 				log.Printf("request %d: bad response: %v", finished, err)
 			} else {
-				log.Printf("request %d: %d, %d bytes, server=%q", finished, resp.Status, len(resp.Body), resp.Server())
+				log.Printf("request %d: %d, %d bytes, server=%q", finished, resp.Status, resp.BodyLen, resp.Server())
 			}
 			if issued < *requests {
 				issue(c)

@@ -455,7 +455,8 @@ func InspectStream(data []byte) Profile {
 
 // ResponseBytes builds the response stream a site-level profile serves in
 // place of an honest HTTP/3-lite response. It is a pure function of
-// (profile, software) so both engines could reproduce it.
+// (profile, software) so both engines could reproduce it. Each call returns
+// a fresh slice, which the scanner queues on a send stream without copying.
 func ResponseBytes(p Profile, software string) []byte {
 	switch p {
 	case OversizedBody:

@@ -15,7 +15,8 @@ import (
 
 // Mock handshake transcript messages (see the package comment for the
 // substitution rationale). Sizes roughly mimic a TLS 1.3 exchange so that
-// handshake packets have realistic weight.
+// handshake packets have realistic weight. They are read-only: every
+// connection queues them on its crypto streams without copying.
 var (
 	msgClientHello    = append([]byte("quicspin:CHLO:"), make([]byte, 300)...)
 	msgServerHello    = append([]byte("quicspin:SHLO:"), make([]byte, 120)...)
@@ -153,8 +154,7 @@ func NewClientConn(cfg Config, now time.Time) *Conn {
 	c.odcid = randomCID(cfg, cfg.connIDLen())
 	c.dstCID = c.odcid
 	c.scid = randomCID(cfg, cfg.connIDLen())
-	c.cryptoSend[spaceInitial].data = append([]byte(nil), msgClientHello...)
-	c.cryptoSend[spaceInitial].finSet = false
+	c.cryptoSend[spaceInitial].push(msgClientHello)
 	c.idleDeadline = now.Add(cfg.idleTimeout())
 	return c
 }
@@ -239,6 +239,10 @@ func (c *Conn) Stats() Stats { return c.stats }
 // SendStream queues application data on a stream. Stream IDs follow RFC
 // 9000 conventions (client-initiated bidirectional streams are 0, 4, 8, …)
 // but the transport does not enforce them.
+//
+// The stream borrows data: it is queued without copying, and STREAM
+// frames, retransmissions included, are cut from it for as long as the
+// connection lives. The caller must not modify data after the call.
 func (c *Conn) SendStream(id uint64, data []byte, fin bool) error {
 	if c.state >= stateClosing {
 		return ErrConnectionClosed
@@ -248,16 +252,18 @@ func (c *Conn) SendStream(id uint64, data []byte, fin bool) error {
 		s = &sendStream{}
 		c.streamsSend[id] = s
 	}
-	if s.finSet {
+	if s.fin {
 		return fmt.Errorf("transport: write after FIN on stream %d", id)
 	}
-	s.data = append(s.data, data...)
-	s.finSet = fin
+	s.push(data)
+	s.fin = fin
 	return nil
 }
 
-// StreamRecv returns the reassembled contiguous data of a stream and
-// whether the stream is complete (FIN received and all bytes present).
+// StreamRecv returns the retained contiguous data of a stream and whether
+// the stream is complete (FIN received and all bytes present). Without a
+// retention limit (see LimitStreamRecv) the data is the whole contiguous
+// prefix received so far.
 func (c *Conn) StreamRecv(id uint64) ([]byte, bool) {
 	r := c.streamsRecv[id]
 	if r == nil {
@@ -266,7 +272,37 @@ func (c *Conn) StreamRecv(id uint64) ([]byte, bool) {
 	return r.delivered, r.complete()
 }
 
-// RecvStreamIDs returns the IDs of streams with received data, sorted.
+// StreamLen returns how many contiguous bytes of a stream have arrived,
+// retained or not.
+func (c *Conn) StreamLen(id uint64) int {
+	if r := c.streamsRecv[id]; r != nil {
+		return int(r.nextOff)
+	}
+	return 0
+}
+
+// LimitStreamRecv caps the bytes of a stream that are retained for
+// StreamRecv at its first n. Bytes past the cap are still reassembled —
+// they count towards StreamLen and completion — but are not stored. A
+// limit only ever lowers: lowering it below what is already retained
+// discards the excess, and a higher n than the current limit is ignored.
+// Streams are unlimited by default.
+func (c *Conn) LimitStreamRecv(id uint64, n int) {
+	c.recvStream(id).setLimit(uint64(max(n, 0)))
+}
+
+// recvStream returns stream id's receive state, creating it on first use.
+func (c *Conn) recvStream(id uint64) *recvStream {
+	r := c.streamsRecv[id]
+	if r == nil {
+		r = &recvStream{}
+		c.streamsRecv[id] = r
+	}
+	return r
+}
+
+// RecvStreamIDs returns the IDs of streams with received data or a
+// retention limit, sorted.
 func (c *Conn) RecvStreamIDs() []uint64 {
 	ids := make([]uint64, 0, len(c.streamsRecv))
 	for id := range c.streamsRecv {
@@ -439,12 +475,7 @@ func (c *Conn) handleFrame(now time.Time, sp spaceID, f wire.Frame) error {
 		if fr.Offset > maxStreamOffset {
 			return fmt.Errorf("transport: STREAM %d offset %d exceeds limit", fr.StreamID, fr.Offset)
 		}
-		r := c.streamsRecv[fr.StreamID]
-		if r == nil {
-			r = &recvStream{}
-			c.streamsRecv[fr.StreamID] = r
-		}
-		r.push(fr.Offset, fr.Data, fr.Fin)
+		c.recvStream(fr.StreamID).push(fr.Offset, fr.Data, fr.Fin)
 		return nil
 	case wire.HandshakeDoneFrame:
 		if c.isClient {
@@ -549,7 +580,7 @@ func (c *Conn) advanceHandshake(now time.Time) {
 	if c.isClient {
 		if hasMsg(&c.cryptoRecv[spaceInitial], msgServerHello) &&
 			hasMsg(&c.cryptoRecv[spaceHandshake], msgServerFinished) && !c.sentCFIN {
-			c.cryptoSend[spaceHandshake].data = append([]byte(nil), msgClientFinished...)
+			c.cryptoSend[spaceHandshake].push(msgClientFinished)
 			c.sentCFIN = true
 			c.handshakeComplete = true
 			// Initial keys are discarded once handshake keys are in use.
@@ -558,11 +589,9 @@ func (c *Conn) advanceHandshake(now time.Time) {
 		return
 	}
 	// Server.
-	if hasMsg(&c.cryptoRecv[spaceInitial], msgClientHello) && len(c.cryptoSend[spaceInitial].data) == 0 && !c.handshakeComplete {
-		if c.cryptoSend[spaceInitial].next == 0 {
-			c.cryptoSend[spaceInitial].data = append([]byte(nil), msgServerHello...)
-			c.cryptoSend[spaceHandshake].data = append([]byte(nil), msgServerFinished...)
-		}
+	if hasMsg(&c.cryptoRecv[spaceInitial], msgClientHello) && c.cryptoSend[spaceInitial].end == 0 && !c.handshakeComplete {
+		c.cryptoSend[spaceInitial].push(msgServerHello)
+		c.cryptoSend[spaceHandshake].push(msgServerFinished)
 	}
 	if hasMsg(&c.cryptoRecv[spaceHandshake], msgClientFinished) && !c.handshakeComplete {
 		c.handshakeComplete = true
@@ -595,7 +624,7 @@ func (c *Conn) dropSpace(sp spaceID) {
 }
 
 func hasMsg(r *recvStream, msg []byte) bool {
-	return len(r.delivered) >= len(msg)
+	return r.nextOff >= uint64(len(msg))
 }
 
 // --- sending -----------------------------------------------------------

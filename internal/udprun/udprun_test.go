@@ -95,8 +95,8 @@ func TestRequestOverRealUDP(t *testing.T) {
 	addr, stop := startServer(t, core.Policy{Mode: core.ModeSpin})
 	defer stop()
 	resp, conn := doRequest(t, addr)
-	if resp.Status != 200 || len(resp.Body) != 30000 {
-		t.Fatalf("response = %d, %d body bytes", resp.Status, len(resp.Body))
+	if resp.Status != 200 || resp.BodyLen != 30000 {
+		t.Fatalf("response = %d, %d body bytes", resp.Status, resp.BodyLen)
 	}
 	if resp.Server() != "quicspin-test" {
 		t.Errorf("server header = %q", resp.Server())

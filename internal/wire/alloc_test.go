@@ -91,3 +91,14 @@ func TestFrameArenaSteadyStateZeroAllocs(t *testing.T) {
 		t.Errorf("FrameArena.Parse allocates %.1f per run steady-state, want 0", n)
 	}
 }
+
+func TestPaddingFrameAppendZeroAllocs(t *testing.T) {
+	buf := make([]byte, 0, 1500)
+	n := testing.AllocsPerRun(1000, func() {
+		b := append(buf[:0], FrameTypePing)
+		_ = PaddingFrame{N: 1199}.Append(b)
+	})
+	if n != 0 {
+		t.Errorf("PaddingFrame.Append allocates %.1f per run with capacity to spare, want 0", n)
+	}
+}

@@ -3,6 +3,7 @@ package wire
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Frame type identifiers (RFC 9000 §19). STREAM frames occupy the range
@@ -39,9 +40,14 @@ type PaddingFrame struct{ N int }
 
 // Append implements Frame.
 func (f PaddingFrame) Append(b []byte) []byte {
-	for i := 0; i < f.N; i++ {
-		b = append(b, FrameTypePadding)
+	if f.N <= 0 {
+		return b
 	}
+	// FrameTypePadding is 0x00, so a run of padding is a run of zero bytes:
+	// grow once, then clear whatever the spare capacity held.
+	n := len(b)
+	b = slices.Grow(b, f.N)[:n+f.N]
+	clear(b[n:])
 	return b
 }
 

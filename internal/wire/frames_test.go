@@ -53,6 +53,34 @@ func TestPaddingCollapses(t *testing.T) {
 	}
 }
 
+// TestPaddingFrameAppendMatchesLoop pins PaddingFrame.Append to the
+// byte-at-a-time encoding it replaced, including when the destination's
+// spare capacity holds stale non-zero bytes.
+func TestPaddingFrameAppendMatchesLoop(t *testing.T) {
+	prefix := []byte{FrameTypePing, 0xaa}
+	dirty := bytes.Repeat([]byte{0xff}, 1600)
+	for n := 0; n <= 1500; n++ {
+		want := append([]byte(nil), prefix...)
+		for i := 0; i < n; i++ {
+			want = append(want, FrameTypePadding)
+		}
+		dst := append(dirty[:0:len(dirty)], prefix...)
+		if got := (PaddingFrame{N: n}).Append(dst); !bytes.Equal(got, want) {
+			t.Fatalf("N=%d: Append differs from the per-byte encoding", n)
+		}
+		if got := (PaddingFrame{N: n}).Append(append([]byte(nil), prefix...)); !bytes.Equal(got, want) {
+			t.Fatalf("N=%d: Append into a full slice differs from the per-byte encoding", n)
+		}
+		// Restore the stale bytes the previous iteration zeroed.
+		for i := range dirty {
+			dirty[i] = 0xff
+		}
+	}
+	if got := (PaddingFrame{N: -1}).Append(prefix); !bytes.Equal(got, prefix) {
+		t.Errorf("negative N appended %d bytes", len(got)-len(prefix))
+	}
+}
+
 func TestAckFrameDelayEncoding(t *testing.T) {
 	// Delay is carried in units of 2^AckDelayExponent microseconds, so the
 	// decoded value is the encoded one rounded down to a multiple of 8 µs.

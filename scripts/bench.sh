@@ -278,6 +278,43 @@ check_flowtable() {
     }' "$tmp/flowtable.txt"
 }
 
+# Stream-transfer gate: BenchmarkStreamTransfer moves a 16 KiB and a
+# 256 KiB response body per op, handshake included, between a client and
+# a server connection. The sender borrows the body and the receiver counts
+# it instead of storing it, so bytes allocated per op may grow with the
+# body only through per-packet state: B/op at 256 KiB must stay within 2x
+# B/op at 16 KiB (largest of 3 runs each). The verdict is allocation-based,
+# so it does not depend on the host.
+check_transfer() {
+    echo "== BenchmarkStreamTransfer" >&2
+    go test -run '^$' -bench '^BenchmarkStreamTransfer$' \
+        -benchmem -benchtime 100x -count 3 ./internal/transport >"$tmp/transfer.txt" 2>&1 || {
+        cat "$tmp/transfer.txt" >&2
+        exit 1
+    }
+    grep -E '^BenchmarkStreamTransfer' "$tmp/transfer.txt" >&2 || true
+    awk '
+    /^BenchmarkStreamTransfer\// {
+        split($1, parts, "/")
+        b = (parts[2] ~ /^body=16KiB(-[0-9]+)?$/) ? "small" : "large"
+        for (i = 2; i < NF; i++)
+            if ($(i + 1) == "B/op" && (!(b in m) || $i + 0 > m[b] + 0)) m[b] = $i
+    }
+    END {
+        if (m["small"] == "" || m["large"] == "") {
+            print "stream transfer benchmark produced no metrics" > "/dev/stderr"
+            exit 1
+        }
+        printf "stream transfer: %.0f B/op at 16 KiB, %.0f B/op at 256 KiB (%.2fx)\n", \
+            m["small"], m["large"], m["large"] / m["small"]
+        if (m["large"] > m["small"] * 2) {
+            printf "256 KiB transfer allocates %.2fx the 16 KiB one (> 2x): body bytes are copied or stored\n", \
+                m["large"] / m["small"] > "/dev/stderr"
+            exit 1
+        }
+    }' "$tmp/transfer.txt"
+}
+
 if [ "$mode" = smoke ]; then
     # A tiny population proves the harness still runs end to end; no
     # comparison — regressions are gated by the full run.
@@ -285,6 +322,7 @@ if [ "$mode" = smoke ]; then
     check_sharded 100000
     check_journal 100000
     check_flowtable
+    check_transfer
     echo "bench smoke OK"
     exit 0
 fi
@@ -295,6 +333,7 @@ if [ "$mode" = check ]; then
     check_sharded 20000
     check_journal 20000
     check_flowtable
+    check_transfer
 fi
 printf '{"scale_2000":%s,"scale_20000":%s}\n' \
     "$(parse_scale 2000)" "$(parse_scale 20000)" | jq . >"$tmp/fresh.json"
