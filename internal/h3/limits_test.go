@@ -11,7 +11,7 @@ import (
 // ErrTooLong inside ErrMalformed rather than a bare bufio error.
 func TestParseResponseTooLong(t *testing.T) {
 	data := []byte(strings.Repeat("A", (1<<20)+64) + "\n\n")
-	resp, err := ParseResponse(data)
+	resp, err := parseWhole(data)
 	if resp != nil {
 		t.Fatal("response returned alongside an error")
 	}
@@ -28,7 +28,7 @@ func TestParseResponseTooLong(t *testing.T) {
 // allocation trusts it.
 func TestParseResponseOversized(t *testing.T) {
 	data := []byte(Proto + " 200\ncontent-length: 268435456\nserver: h2o\n\n")
-	resp, err := ParseResponse(data)
+	resp, err := parseWhole(data)
 	if resp != nil {
 		t.Fatal("response returned alongside an error")
 	}
@@ -41,7 +41,7 @@ func TestParseResponseOversized(t *testing.T) {
 	// A large-but-legal declaration is still only rejected for the body
 	// mismatch, not as oversized.
 	small := []byte(Proto + " 200\ncontent-length: 3\n\nabc")
-	if _, err := ParseResponse(small); err != nil {
+	if _, err := parseWhole(small); err != nil {
 		t.Fatalf("legal response rejected: %v", err)
 	}
 }
