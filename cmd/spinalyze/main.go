@@ -11,111 +11,130 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"io/fs"
 	"log"
 	"os"
-	"path/filepath"
 
 	"quicspin/internal/analysis"
 	"quicspin/internal/asdb"
+	"quicspin/internal/report"
 	"quicspin/internal/scanner"
 )
 
-func main() {
-	qlogDir := flag.String("qlog-dir", "", "directory with .qlog traces from spinscan (required)")
-	asdbPath := flag.String("asdb", "", "asdb snapshot for Table 2 org attribution (optional)")
-	table := flag.Int("table", 0, "render only this table (1-4; 0 = all)")
-	fig := flag.Int("fig", 0, "render only this figure (3 or 4; 0 = all)")
-	flag.Parse()
+// errUsage reports bad arguments; run has already printed the problem and
+// the usage text.
+var errUsage = errors.New("invalid arguments")
 
-	if *qlogDir == "" {
-		flag.Usage()
+func main() {
+	switch err := run(os.Args[1:], os.Stdout, os.Stderr); {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+	case errors.Is(err, errUsage):
 		os.Exit(2)
+	default:
+		log.Fatal(err)
 	}
-	files, err := filepath.Glob(filepath.Join(*qlogDir, "*.qlog"))
-	if err != nil || len(files) == 0 {
-		log.Fatalf("no .qlog files in %s (%v)", *qlogDir, err)
-	}
-	var readers []io.Reader
-	var closers []io.Closer
-	for _, f := range files {
-		fh, err := os.Open(f)
-		if err != nil {
-			log.Fatalf("open %s: %v", f, err)
+}
+
+// run parses args, folds every trace under -qlog-dir into the streaming
+// campaign accumulators (the same folds spinscan renders its summary
+// from) and writes the selected tables and figures to stdout.
+func run(args []string, stdout, stderr io.Writer) error {
+	flags := flag.NewFlagSet("spinalyze", flag.ContinueOnError)
+	flags.SetOutput(stderr)
+	qlogDir := flags.String("qlog-dir", "", "directory with .qlog traces from spinscan (required)")
+	asdbPath := flags.String("asdb", "", "asdb snapshot for Table 2 org attribution (optional)")
+	table := flags.Int("table", 0, "render only this table (1-4; 0 = all)")
+	fig := flags.Int("fig", 0, "render only this figure (3 or 4; 0 = all)")
+	if err := flags.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
 		}
-		readers = append(readers, fh)
-		closers = append(closers, fh)
+		return errUsage
 	}
-	results, err := scanner.MergeQlogConns(readers)
-	for _, c := range closers {
-		c.Close()
+	if *qlogDir == "" {
+		fmt.Fprintln(stderr, "-qlog-dir is required")
+		flags.Usage()
+		return errUsage
 	}
-	if err != nil {
-		log.Fatalf("parsing qlogs: %v", err)
-	}
-	var weeks []*analysis.Week
-	for _, res := range results {
-		log.Printf("loaded week %d (ipv6=%v): %d domains", res.Week, res.IPv6, len(res.Domains))
-		weeks = append(weeks, analysis.Analyze(res))
-	}
-	wk := weeks[len(weeks)-1]
+	logf := log.New(stderr, "", log.LstdFlags).Printf
 
 	show := func(n int) bool { return *table == 0 && *fig == 0 || *table == n }
 	showFig := func(n int) bool { return *table == 0 && *fig == 0 || *fig == n }
 
-	if show(1) || show(4) {
-		if err := analysis.RenderOverview(wk).Render(os.Stdout); err != nil {
-			log.Fatal(err)
+	// Table 2 needs the snapshot's resolver while folding; without one the
+	// org fold runs over an empty table and Table 2 is skipped.
+	res := &asdb.Resolver{Table: asdb.NewTable(), Orgs: asdb.NewOrgDB()}
+	withOrgs := show(2) && *asdbPath != ""
+	if withOrgs {
+		fh, err := os.Open(*asdbPath)
+		if err != nil {
+			return fmt.Errorf("open asdb: %w", err)
 		}
-		fmt.Println()
+		res.Table, res.Orgs, err = asdb.ReadSnapshot(fh)
+		fh.Close()
+		if err != nil {
+			return fmt.Errorf("parse asdb: %w", err)
+		}
+	} else if show(2) {
+		logf("skipping Table 2: no -asdb snapshot given")
 	}
-	if show(2) {
-		if *asdbPath == "" {
-			log.Print("skipping Table 2: no -asdb snapshot given")
-		} else {
-			fh, err := os.Open(*asdbPath)
-			if err != nil {
-				log.Fatalf("open asdb: %v", err)
-			}
-			tbl, orgs, err := asdb.ReadSnapshot(fh)
-			fh.Close()
-			if err != nil {
-				log.Fatalf("parse asdb: %v", err)
-			}
-			res := &asdb.Resolver{Table: tbl, Orgs: orgs}
-			if err := analysis.RenderOrgTable(wk, res, 8).Render(os.Stdout); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Println()
+
+	traces := os.DirFS(*qlogDir)
+	files, err := fs.Glob(traces, "*.qlog")
+	if err != nil || len(files) == 0 {
+		return fmt.Errorf("no .qlog files in %s (%v)", *qlogDir, err)
+	}
+	results, err := scanner.MergeQlogConns(traces, files)
+	if err != nil {
+		return fmt.Errorf("parsing qlogs: %w", err)
+	}
+	camp := analysis.NewCampaignAccumulator()
+	for _, r := range results {
+		logf("loaded week %d (ipv6=%v): %d domains", r.Week, r.IPv6, len(r.Domains))
+		acc := camp.StartWeek(r.Week, r.IPv6, res)
+		for i := range r.Domains {
+			acc.Add(&r.Domains[i])
 		}
+	}
+	wks := camp.Weeks()
+	wk := wks[len(wks)-1]
+
+	var tables []*report.Table
+	if show(1) || show(4) {
+		tables = append(tables, wk.RenderOverview())
+	}
+	if withOrgs {
+		tables = append(tables, wk.RenderOrgTable(8))
 	}
 	if show(3) {
-		if err := analysis.RenderSpinConfig(wk).Render(os.Stdout); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println()
-		if err := analysis.RenderSoftwareTable(wk, analysis.StandardViews()[1]).Render(os.Stdout); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println()
+		tables = append(tables, wk.RenderSpinConfig(), wk.RenderSoftwareTable())
 	}
-	if len(weeks) > 1 && (*table == 0 && *fig == 0 || *fig == 2) {
-		l := analysis.Longitudinally(weeks)
-		if err := analysis.RenderLongitudinal(l).Render(os.Stdout); err != nil {
-			log.Fatal(err)
+	if len(wks) > 1 && (*table == 0 && *fig == 0 || *fig == 2) {
+		tables = append(tables, analysis.RenderLongitudinal(camp.Longitudinal()))
+	}
+	for _, t := range tables {
+		if err := t.Render(stdout); err != nil {
+			return err
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 	if showFig(3) {
-		fmt.Print(analysis.RenderAccuracy(weeks, 3))
+		fmt.Fprint(stdout, camp.RenderAccuracy(3))
 	}
 	if showFig(4) {
-		fmt.Print(analysis.RenderAccuracy(weeks, 4))
-		h := analysis.Headlines(weeks)
-		fmt.Printf("headlines: n=%d overestimate=%.1f%% within-25ms=%.1f%% >200ms=%.1f%% within-25%%=%.1f%% within-2x=%.1f%% >3x=%.1f%%\n",
-			h.N, h.OverestimateShare*100, h.Within25ms*100, h.Over200ms*100,
-			h.Within25pct*100, h.Within2x*100, h.Over3x*100)
+		fmt.Fprint(stdout, camp.RenderAccuracy(4))
+		fmt.Fprintln(stdout, headlineLine(camp.Headlines()))
 	}
+	return nil
+}
+
+// headlineLine formats the §5.2 headline shares as one summary line.
+func headlineLine(h analysis.AccuracyHeadlines) string {
+	return fmt.Sprintf("headlines: n=%d overestimate=%.1f%% within-25ms=%.1f%% >200ms=%.1f%% within-25%%=%.1f%% within-2x=%.1f%% >3x=%.1f%%",
+		h.N, h.OverestimateShare*100, h.Within25ms*100, h.Over200ms*100,
+		h.Within25pct*100, h.Within2x*100, h.Over3x*100)
 }

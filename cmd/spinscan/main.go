@@ -1,8 +1,9 @@
 // Command spinscan runs the measurement campaign of the paper against the
 // synthetic web: it generates a scaled-down population (ICANN-zone and
 // toplist domains over hosting organisations), scans every domain over
-// QUIC-lite in virtual time, and either prints the adoption tables
-// directly or writes per-connection qlog traces for cmd/spinalyze.
+// QUIC-lite in virtual time, and prints the adoption tables; with
+// -qlog-dir it also writes each domain's per-connection qlog traces for
+// cmd/spinalyze as the domain finishes.
 //
 // Usage:
 //
@@ -52,7 +53,7 @@ func main() {
 	workers := flag.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
 	timeout := flag.Duration("timeout", 0, "per-connection virtual timeout (0 = 6s default)")
 	maxRedirects := flag.Int("max-redirects", 0, "redirect-follow bound (0 = default of 3)")
-	qlogDir := flag.String("qlog-dir", "", "write per-connection qlog traces to this directory")
+	qlogDir := flag.String("qlog-dir", "", "write per-connection qlog traces to this directory as domains finish")
 	asdbOut := flag.String("asdb-out", "", "write the world's prefix→ASN→org snapshot here (for spinalyze -asdb)")
 	summary := flag.Bool("summary", true, "print adoption tables after scanning")
 	conform := flag.Bool("conformance", false, "run the engine differential + invariant conformance suite instead of scanning")
@@ -63,7 +64,6 @@ func main() {
 	breakerCooldown := flag.Duration("breaker-cooldown", 0, "virtual cooldown before an open breaker probes again (0 = 30s default)")
 	checkpoint := flag.String("checkpoint", "", "journal completed domains to this directory (enables -resume)")
 	resume := flag.Bool("resume", false, "replay the -checkpoint journal and scan only the remainder")
-	stream := flag.Bool("stream", true, "stream results through incremental aggregation (false = legacy batch pipeline)")
 	lazyWorld := flag.Bool("lazy-world", false, "synthesise domains and servers on demand instead of materialising the population")
 	traceOn := flag.Bool("trace", false, "record per-domain stage traces into the flight recorder (serves /debug/traces with -debug-addr)")
 	traceDir := flag.String("trace-dir", "", "write flight-recorder dumps (panic/stall/budget postmortems) to this directory; implies -trace")
@@ -100,6 +100,9 @@ func main() {
 	}
 	if *shards < 0 {
 		log.Fatalf("-shards must be >= 0 (got %d)", *shards)
+	}
+	if *qlogDir != "" && (*followMode || *shards > 0 || *vantagesSpec != "") {
+		log.Fatalf("-qlog-dir writes traces from one-shot, unsharded scans only (not with -follow, -shards or -vantages)")
 	}
 
 	eng := scanner.EngineEmulated
@@ -185,6 +188,14 @@ func main() {
 			os.Exit(code)
 		}
 		os.Exit(130)
+	}
+	campaignInterrupted := func() {
+		if *checkpoint != "" {
+			log.Printf("campaign interrupted; resume with: spinscan -checkpoint %s -resume (plus the original flags)", *checkpoint)
+		} else {
+			log.Printf("campaign interrupted (no -checkpoint journal; a rerun starts from scratch)")
+		}
+		exitInterrupted()
 	}
 
 	// The live dashboard rides on the streaming sink; it stays nil (a
@@ -312,13 +323,9 @@ func main() {
 			}
 		}()
 	}
-	// With -stream (and no qlog output, which needs materialised results)
-	// each domain flows straight into the incremental aggregators and is
-	// dropped — memory stays bounded by the aggregate state, not the
-	// population. -stream=false runs the legacy batch pipeline, retained as
-	// the streaming path's test oracle.
-	streamSummary := *stream && *qlogDir == ""
-	var analyzed []*analysis.Week
+	// Every scan path streams: each domain flows through the sinks (qlog
+	// traces, then the incremental aggregators) and is dropped, so memory
+	// stays bounded by the aggregate state, not the population.
 	var camp *analysis.CampaignAccumulator
 	var shardRes *shard.Result
 	if *shards > 0 || *vantagesSpec != "" {
@@ -327,9 +334,6 @@ func main() {
 		// telemetry labels), optionally repeats the campaign from several
 		// vantage points, and merges the shard accumulators back into one
 		// campaign with byte-identical tables.
-		if !streamSummary {
-			log.Fatalf("-shards/-vantages require the streaming pipeline (-stream and no -qlog-dir)")
-		}
 		tr, err := shard.ParseTransport(*shardTransport)
 		if err != nil {
 			log.Fatalf("-shard-transport: %v", err)
@@ -381,12 +385,7 @@ func main() {
 			Logf:         log.Printf,
 		})
 		if errors.Is(err, scanner.ErrInterrupted) {
-			if *checkpoint != "" {
-				log.Printf("campaign interrupted; resume with: spinscan -checkpoint %s -resume (plus the original flags)", *checkpoint)
-			} else {
-				log.Printf("campaign interrupted (no -checkpoint journal; a rerun starts from scratch)")
-			}
-			exitInterrupted()
+			campaignInterrupted()
 		}
 		if err != nil {
 			log.Fatal(err)
@@ -398,9 +397,6 @@ func main() {
 		// back (or -follow-interval apart) through the same streaming path,
 		// journal and seed derivation as the one-shot loop, so a follow
 		// campaign stopped after N weeks is byte-identical to -weeks N.
-		if !streamSummary {
-			log.Fatalf("-follow requires the streaming pipeline (-stream and no -qlog-dir)")
-		}
 		if *shards > 0 || *vantagesSpec != "" {
 			log.Fatalf("-follow is a single-process service; use -shards/-vantages without -follow for distributed scan-out")
 		}
@@ -455,41 +451,28 @@ func main() {
 		log.Printf("follow campaign done: %d week(s), %d restart(s), compaction kept %d of %d record(s)",
 			fres.WeeksDone, fres.Restarts, fres.Compactions.Kept, fres.Compactions.Records)
 	}
-	if streamSummary && camp == nil {
+	if camp == nil {
 		camp = analysis.NewCampaignAccumulator()
+	}
+	if *qlogDir != "" {
+		if err := os.MkdirAll(*qlogDir, 0o755); err != nil {
+			log.Fatalf("-qlog-dir: %v", err)
+		}
 	}
 	for wk := first; shardRes == nil && !*followMode && wk <= last; wk++ {
 		log.Printf("scanning week %d (%s, ipv6=%v)...", wk, *engine, *ipv6)
 		cfg := baseCfg
 		cfg.Week = wk
 		cfg.Seed = prof.Seed + int64(wk)
-		var err error
-		if streamSummary {
-			acc := camp.StartWeek(wk, cfg.IPv6, world.ASDB())
-			err = scanner.RunStream(world, cfg, live.Sink(acc))
-		} else {
-			run := scanner.Run
-			if !*stream {
-				run = scanner.RunBatch
-			}
-			var res *scanner.Result
-			res, err = run(world, cfg)
-			if err == nil {
-				if *qlogDir != "" {
-					if qerr := writeQlogs(res, *qlogDir); qerr != nil {
-						log.Fatalf("writing qlogs: %v", qerr)
-					}
-				}
-				analyzed = append(analyzed, analysis.Analyze(res))
-			}
+		sink := live.Sink(camp.StartWeek(wk, cfg.IPv6, world.ASDB()))
+		if *qlogDir != "" {
+			sink = scanner.QlogSink(wk, cfg.IPv6, func(name string) (io.WriteCloser, error) {
+				return os.Create(filepath.Join(*qlogDir, name))
+			}, sink)
 		}
+		err := scanner.RunStream(world, cfg, sink)
 		if errors.Is(err, scanner.ErrInterrupted) {
-			if *checkpoint != "" {
-				log.Printf("campaign interrupted; resume with: spinscan -checkpoint %s -resume (plus the original flags)", *checkpoint)
-			} else {
-				log.Printf("campaign interrupted (no -checkpoint journal; a rerun starts from scratch)")
-			}
-			exitInterrupted()
+			campaignInterrupted()
 		}
 		if err != nil {
 			log.Fatal(err)
@@ -500,47 +483,29 @@ func main() {
 	if !*summary {
 		return
 	}
-	var tables []*report.Table
-	var accuracy string
-	if streamSummary {
-		wks := camp.Weeks()
-		a := wks[len(wks)-1]
-		tables = []*report.Table{
-			a.RenderOverview(), a.RenderOrgTable(8), a.RenderSpinConfig(),
-			a.RenderSoftwareTable(), a.RenderErrorClasses(),
-		}
-		if len(wks) > 1 {
-			tables = append(tables, analysis.RenderLongitudinal(camp.Longitudinal()))
-		}
-		if shardRes != nil && len(shardRes.Vantages) > 1 {
-			tables = append(tables, shard.RenderAgreement(shardRes))
-		}
-		// A degraded merge (lost shards, no -strict-shards) ships its
-		// coverage accounting with the tables: which shards survived, what
-		// domain ranges are missing, and a per-table confidence caveat.
-		if shardRes != nil && !shardRes.Vantages[0].Coverage.Complete() {
-			cov := shardRes.Vantages[0].Coverage
-			for _, tb := range tables {
-				if note := cov.Confidence(tb.Title); note != "" {
-					log.Printf("coverage: %s", note)
-				}
+	wks := camp.Weeks()
+	a := wks[len(wks)-1]
+	tables := []*report.Table{
+		a.RenderOverview(), a.RenderOrgTable(8), a.RenderSpinConfig(),
+		a.RenderSoftwareTable(), a.RenderErrorClasses(),
+	}
+	if len(wks) > 1 {
+		tables = append(tables, analysis.RenderLongitudinal(camp.Longitudinal()))
+	}
+	if shardRes != nil && len(shardRes.Vantages) > 1 {
+		tables = append(tables, shard.RenderAgreement(shardRes))
+	}
+	// A degraded merge (lost shards, no -strict-shards) ships its coverage
+	// accounting with the tables: which shards survived, what domain ranges
+	// are missing, and a per-table confidence caveat.
+	if shardRes != nil && !shardRes.Vantages[0].Coverage.Complete() {
+		cov := shardRes.Vantages[0].Coverage
+		for _, tb := range tables {
+			if note := cov.Confidence(tb.Title); note != "" {
+				log.Printf("coverage: %s", note)
 			}
-			tables = append(tables, shard.RenderCoverage(cov))
 		}
-		accuracy = camp.RenderAccuracy(4)
-	} else {
-		wk := analyzed[len(analyzed)-1]
-		tables = []*report.Table{
-			analysis.RenderOverview(wk),
-			analysis.RenderOrgTable(wk, world.ASDB(), 8),
-			analysis.RenderSpinConfig(wk),
-			analysis.RenderSoftwareTable(wk, analysis.StandardViews()[1]),
-			analysis.RenderErrorClasses(wk),
-		}
-		if len(analyzed) > 1 {
-			tables = append(tables, analysis.RenderLongitudinal(analysis.Longitudinally(analyzed)))
-		}
-		accuracy = analysis.RenderAccuracy(analyzed, 4)
+		tables = append(tables, shard.RenderCoverage(cov))
 	}
 	for i, t := range tables {
 		if i > 0 {
@@ -551,7 +516,7 @@ func main() {
 		}
 	}
 	fmt.Println()
-	fmt.Print(accuracy)
+	fmt.Print(camp.RenderAccuracy(4))
 }
 
 // exitCodeFor maps a stopping signal to the conventional 128+signal exit
@@ -630,13 +595,4 @@ func runConformance(world *websim.World, worldSeed int64, week int, ipv6 bool, w
 	if !rep.OK() || !inv.OK() {
 		os.Exit(1)
 	}
-}
-
-func writeQlogs(res *scanner.Result, dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	return scanner.WriteResultQlogs(res, func(name string) (io.WriteCloser, error) {
-		return os.Create(filepath.Join(dir, name))
-	})
 }

@@ -90,11 +90,7 @@ func (a *Accumulator) Sink() func(i int, d *scanner.DomainResult) error {
 
 // RenderOverview renders Table 1/4 from the folded state.
 func (a *Accumulator) RenderOverview() *report.Table {
-	rows := make([]OverviewRow, 0, len(a.overview))
-	for _, f := range a.overview {
-		rows = append(rows, f.finish())
-	}
-	return renderOverviewTable(a.Week, a.IPv6, rows)
+	return renderOverviewTable(a.Week, a.IPv6, a.OverviewRows())
 }
 
 // RenderOrgTable renders Table 2 (com/net/org view, as in the batch path).
@@ -104,11 +100,7 @@ func (a *Accumulator) RenderOrgTable(topN int) *report.Table {
 
 // RenderSpinConfig renders Table 3.
 func (a *Accumulator) RenderSpinConfig() *report.Table {
-	rows := make([]ConfigRow, 0, len(a.config))
-	for _, f := range a.config {
-		rows = append(rows, f.row)
-	}
-	return renderSpinConfigTable(a.Week, rows)
+	return renderSpinConfigTable(a.Week, a.ConfigRows())
 }
 
 // RenderSoftwareTable renders the §4.2 attribution (CZDS view, matching
@@ -198,11 +190,23 @@ func (c *CampaignAccumulator) Longitudinal() Longitudinal {
 // RenderAccuracy renders campaign-level Fig. 3 or Fig. 4 panels over every
 // week's connections, like the batch RenderAccuracy(weeks, fig).
 func (c *CampaignAccumulator) RenderAccuracy(fig int) string {
+	merged := c.accuracy()
+	return renderAccuracyFrom(fig, func(i int) *stats.Histogram {
+		return merged.histAt(fig, i)
+	})
+}
+
+// Headlines returns the campaign's §5.2 headline accuracy shares over every
+// week's connections, like the batch Headlines(weeks).
+func (c *CampaignAccumulator) Headlines() AccuracyHeadlines {
+	return c.accuracy().headlines()
+}
+
+// accuracy merges the weekly accuracy folds into one campaign-level fold.
+func (c *CampaignAccumulator) accuracy() *accuracyFold {
 	merged := newAccuracyFold()
 	for _, a := range c.weeks {
 		merged.merge(a.acc)
 	}
-	return renderAccuracyFrom(fig, func(i int) *stats.Histogram {
-		return merged.histAt(fig, i)
-	})
+	return merged
 }

@@ -11,7 +11,7 @@ import (
 // oracle: scanner.RunStream feeding an Accumulator must render every
 // summary table byte-identically to RunBatch + Analyze + the batch
 // renderers, for any worker count. RunBatch exists only to back these
-// tests (and spinscan -stream=false).
+// tests.
 
 // renderBatchWeek renders one analysed week through the batch path, in
 // spinscan's summary order.
@@ -131,6 +131,35 @@ func TestCampaignAccumulatorMatchesBatch(t *testing.T) {
 	}
 	if got, want := camp.Weeks()[len(camp.Weeks())-1].Headlines(), Headlines(weeks[len(weeks)-1:]); got != want {
 		t.Errorf("weekly headlines mismatch: %+v vs %+v", got, want)
+	}
+}
+
+// TestCampaignHeadlinesMatchBatch pins the campaign-level §5.2 headlines
+// (merged weekly accuracy folds) to the batch Headlines over every week.
+func TestCampaignHeadlinesMatchBatch(t *testing.T) {
+	p := websim.DefaultProfile()
+	p.Scale = 20000
+	world := websim.Generate(p)
+
+	camp := NewCampaignAccumulator()
+	var weeks []*Week
+	for _, wknum := range []int{11, 12} {
+		cfg := scanner.Config{Week: wknum, Engine: scanner.EngineFast, Seed: 5, Workers: 4}
+		r, err := scanner.RunBatch(world, cfg)
+		if err != nil {
+			t.Fatalf("RunBatch week %d: %v", wknum, err)
+		}
+		weeks = append(weeks, Analyze(r))
+		if err := scanner.RunStream(world, cfg, camp.StartWeek(wknum, cfg.IPv6, world.ASDB()).Sink()); err != nil {
+			t.Fatalf("RunStream week %d: %v", wknum, err)
+		}
+	}
+	got, want := camp.Headlines(), Headlines(weeks)
+	if got != want {
+		t.Errorf("campaign headlines %+v, batch %+v", got, want)
+	}
+	if want.N <= camp.Weeks()[1].Headlines().N {
+		t.Errorf("campaign headlines cover %d connections, no more than the last week's", want.N)
 	}
 }
 

@@ -3,6 +3,7 @@ package scanner
 import (
 	"fmt"
 	"io"
+	"io/fs"
 	"net/netip"
 	"sort"
 	"strconv"
@@ -151,43 +152,48 @@ func ReadConnQlog(r io.Reader) (*DomainResult, *ConnResult, int, bool, error) {
 	return d, c, geti("week"), getb("ipv6"), nil
 }
 
-// WriteResultQlogs writes one qlog file per connection under open(name).
-// The open callback abstracts the filesystem so tests can collect buffers.
-func WriteResultQlogs(res *Result, open func(name string) (io.WriteCloser, error)) error {
-	for i := range res.Domains {
-		d := &res.Domains[i]
-		for j := range d.Conns {
-			name := fmt.Sprintf("%s.conn%d.week%d.qlog", d.Domain, j, res.Week)
-			w, err := open(name)
-			if err != nil {
-				return err
-			}
-			if err := WriteConnQlog(w, d, j, res.Week, res.IPv6); err != nil {
-				w.Close()
-				return fmt.Errorf("scanner: writing %s: %w", name, err)
-			}
-			if err := w.Close(); err != nil {
-				return err
-			}
+// WriteDomainQlogs writes one qlog file per connection of a scanned domain
+// under open(name), closing each file before opening the next. The open
+// callback abstracts the filesystem so tests can collect buffers.
+func WriteDomainQlogs(d *DomainResult, week int, ipv6 bool, open func(name string) (io.WriteCloser, error)) error {
+	for j := range d.Conns {
+		name := fmt.Sprintf("%s.conn%d.week%d.qlog", d.Domain, j, week)
+		w, err := open(name)
+		if err != nil {
+			return err
+		}
+		if err := WriteConnQlog(w, d, j, week, ipv6); err != nil {
+			w.Close()
+			return fmt.Errorf("scanner: writing %s: %w", name, err)
+		}
+		if err := w.Close(); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// MergeQlogConns reassembles one Result per campaign week from
-// individually parsed traces, grouping connections by domain within each
-// week. Results are sorted by week.
-func MergeQlogConns(readers []io.Reader) ([]*Result, error) {
+// MergeQlogConns reassembles one Result per campaign week from the named
+// traces in fsys, grouping connections by domain within each week. Each
+// trace is opened, parsed and closed before the next is opened, so a
+// campaign's trace set never holds more than one descriptor. Results are
+// sorted by week.
+func MergeQlogConns(fsys fs.FS, names []string) ([]*Result, error) {
 	type key struct {
 		week int
 		ipv6 bool
 	}
 	results := map[key]*Result{}
 	byDomain := map[key]map[string]int{}
-	for _, r := range readers {
-		d, c, week, ipv6, err := ReadConnQlog(r)
+	for _, name := range names {
+		r, err := fsys.Open(name)
 		if err != nil {
 			return nil, err
+		}
+		d, c, week, ipv6, err := ReadConnQlog(r)
+		r.Close()
+		if err != nil {
+			return nil, fmt.Errorf("scanner: parsing %s: %w", name, err)
 		}
 		k := key{week, ipv6}
 		res := results[k]
@@ -221,4 +227,17 @@ func MergeQlogConns(readers []io.Reader) ([]*Result, error) {
 		return !out[i].IPv6 && out[j].IPv6
 	})
 	return out, nil
+}
+
+// QlogSink returns a RunStream sink that writes each delivered domain's
+// traces through WriteDomainQlogs, then hands the domain to next. A write
+// error is the sink error, so it stops the scan like any other; traces of
+// the domains delivered before it stay written.
+func QlogSink(week int, ipv6 bool, open func(name string) (io.WriteCloser, error), next func(i int, d *DomainResult) error) func(i int, d *DomainResult) error {
+	return func(i int, d *DomainResult) error {
+		if err := WriteDomainQlogs(d, week, ipv6, open); err != nil {
+			return err
+		}
+		return next(i, d)
+	}
 }

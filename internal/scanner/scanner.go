@@ -373,9 +373,8 @@ func Run(w *websim.World, cfg Config) (*Result, error) {
 
 // RunBatch is the pre-streaming campaign implementation: every worker
 // strides over the materialised population and writes results in place.
-// It is retained as the oracle for the streaming pipeline's equivalence
-// tests (and as a fallback via spinscan -stream=false); new callers
-// should use Run or RunStream.
+// It is the test oracle for the streaming pipeline's equivalence tests
+// and has no production caller; use RunStream or Run.
 func RunBatch(w *websim.World, cfg Config) (*Result, error) {
 	if cfg.Shard.enabled() {
 		return nil, fmt.Errorf("scanner: Config.Shard requires RunStream (RunBatch materialises the full population)")

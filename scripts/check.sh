@@ -113,6 +113,30 @@ if ! diff -u "$tmp/reference.txt" "$tmp/resumed.txt"; then
     exit 1
 fi
 
+# qlog interchange smoke: spinscan -qlog-dir streams one trace per
+# connection, and spinalyze must fold them back into exactly the Table 3
+# and webserver blocks of spinscan's own summary. The descriptor limit of
+# 256 is far below the ~9,400 traces, so it fails unless both sides hold
+# at most a handful of files open at a time.
+echo "== qlog interchange smoke"
+go build -o "$tmp/spinalyze" ./cmd/spinalyze
+if ! (
+    ulimit -n 256 &&
+        "$tmp/spinscan" -scale 20000 -engine fast -week 12 -progress 0 -qlog-dir "$tmp/qlogs" \
+            2>"$tmp/qlog.log" >"$tmp/qlog-scan.txt" &&
+        "$tmp/spinalyze" -qlog-dir "$tmp/qlogs" -table 3 2>>"$tmp/qlog.log" >"$tmp/qlog-table3.txt"
+); then
+    echo "qlog interchange under ulimit -n 256 failed:" >&2
+    cat "$tmp/qlog.log" >&2
+    exit 1
+fi
+awk 'BEGIN { RS = ""; ORS = "\n\n" } /^(Table 3\.|Webserver attribution)/' \
+    "$tmp/qlog-scan.txt" >"$tmp/qlog-want.txt"
+if [ ! -s "$tmp/qlog-want.txt" ] || ! diff -u "$tmp/qlog-want.txt" "$tmp/qlog-table3.txt"; then
+    echo "spinalyze Table 3 differs from spinscan's summary over the same traces" >&2
+    exit 1
+fi
+
 # Sharded interrupt-and-resume smoke: the same unclean-death contract for
 # the distributed coordinator — SIGKILL a sharded campaign mid-run, resume
 # from the per-shard journals, and require byte-identical tables against an
