@@ -6,11 +6,12 @@ package quicspin_test
 //	go test -bench=. -benchmem
 //
 // Each benchmark prints its table or histogram once (the reproduction
-// output recorded in EXPERIMENTS.md) and then times the analysis
-// computation. The underlying measurement campaign — world generation and
-// the packet-level emulated scans — runs once, shared by all benchmarks.
-// Control the population size with QUICSPIN_SCALE (default 4000; the
-// calibrated reproduction in EXPERIMENTS.md uses 2000).
+// output recorded in EXPERIMENTS.md) and then times folding the week's
+// scan into a fresh analysis.Accumulator (a CampaignAccumulator for Fig. 2)
+// and finishing its aggregate. The underlying measurement campaign — world
+// generation and the packet-level emulated scans — runs once, shared by
+// all benchmarks. Control the population size with QUICSPIN_SCALE (default
+// 4000; the calibrated reproduction in EXPERIMENTS.md uses 2000).
 
 import (
 	"fmt"
@@ -34,9 +35,9 @@ import (
 var (
 	benchOnce sync.Once
 	benchW    *websim.World
-	benchV4   *analysis.Week
-	benchV6   *analysis.Week
-	benchLong []*analysis.Week
+	benchV4   *scanner.Result
+	benchV6   *scanner.Result
+	benchLong []*scanner.Result
 )
 
 func benchScale() int {
@@ -51,7 +52,7 @@ func benchScale() int {
 // fixture runs the shared measurement campaign: one emulated IPv4 scan and
 // one emulated IPv6 scan of the final campaign week (Tables 1-4, Figs.
 // 3-4), plus twelve weekly fast-engine scans (Fig. 2).
-func fixture(b *testing.B) (*websim.World, *analysis.Week, *analysis.Week, []*analysis.Week) {
+func fixture(b *testing.B) (*websim.World, *scanner.Result, *scanner.Result, []*scanner.Result) {
 	b.Helper()
 	benchOnce.Do(func() {
 		scale := benchScale()
@@ -60,13 +61,10 @@ func fixture(b *testing.B) (*websim.World, *analysis.Week, *analysis.Week, []*an
 		fmt.Printf("## generating world at scale 1/%d and scanning (set QUICSPIN_SCALE to change)...\n", scale)
 		start := time.Now()
 		benchW = websim.Generate(prof)
-		r4 := mustRun(benchW, scanner.Config{Week: prof.Weeks, Engine: scanner.EngineEmulated, Seed: 99})
-		benchV4 = analysis.Analyze(r4)
-		r6 := mustRun(benchW, scanner.Config{Week: prof.Weeks, IPv6: true, Engine: scanner.EngineEmulated, Seed: 99})
-		benchV6 = analysis.Analyze(r6)
+		benchV4 = mustRun(benchW, scanner.Config{Week: prof.Weeks, Engine: scanner.EngineEmulated, Seed: 99})
+		benchV6 = mustRun(benchW, scanner.Config{Week: prof.Weeks, IPv6: true, Engine: scanner.EngineEmulated, Seed: 99})
 		for wk := 1; wk <= prof.Weeks; wk++ {
-			r := mustRun(benchW, scanner.Config{Week: wk, Engine: scanner.EngineFast, Seed: 99})
-			benchLong = append(benchLong, analysis.Analyze(r))
+			benchLong = append(benchLong, mustRun(benchW, scanner.Config{Week: wk, Engine: scanner.EngineFast, Seed: 99}))
 		}
 		fmt.Printf("## campaign complete in %v (%d domains, %d servers)\n\n",
 			time.Since(start).Round(time.Millisecond), len(benchW.Domains), len(benchW.Servers()))
@@ -82,16 +80,35 @@ func printFixture(key, out string) {
 	}
 }
 
+// fold folds one scanned week into a fresh accumulator.
+func fold(w *websim.World, r *scanner.Result) *analysis.Accumulator {
+	return foldInto(analysis.NewAccumulator(r.Week, r.IPv6, w.ASDB()), r)
+}
+
+func foldInto(a *analysis.Accumulator, r *scanner.Result) *analysis.Accumulator {
+	for i := range r.Domains {
+		a.Add(&r.Domains[i])
+	}
+	return a
+}
+
+// foldCampaign folds the weekly scans into a fresh campaign accumulator.
+func foldCampaign(w *websim.World, weeks []*scanner.Result) *analysis.CampaignAccumulator {
+	c := analysis.NewCampaignAccumulator()
+	for _, r := range weeks {
+		foldInto(c.StartWeek(r.Week, r.IPv6, w.ASDB()), r)
+	}
+	return c
+}
+
 // BenchmarkTable1_IPv4Overview regenerates Table 1: Total/Resolved/QUIC/
 // Spin domains and IPs for the Toplists, CZDS and com/net/org views.
 func BenchmarkTable1_IPv4Overview(b *testing.B) {
-	_, v4, _, _ := fixture(b)
-	printFixture("t1", analysis.RenderOverview(v4).String())
+	w, v4, _, _ := fixture(b)
+	printFixture("t1", fold(w, v4).RenderOverview().String())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, v := range analysis.StandardViews() {
-			analysis.Overview(v4, v)
-		}
+		fold(w, v4).OverviewRows()
 	}
 }
 
@@ -99,24 +116,21 @@ func BenchmarkTable1_IPv4Overview(b *testing.B) {
 // and spin activity per AS organisation for com/net/org.
 func BenchmarkTable2_ASOrganizations(b *testing.B) {
 	w, v4, _, _ := fixture(b)
-	printFixture("t2", analysis.RenderOrgTable(v4, w.ASDB(), 8).String())
-	view := analysis.StandardViews()[2]
+	printFixture("t2", fold(w, v4).RenderOrgTable(8).String())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		analysis.OrgTable(v4, w.ASDB(), view, 8)
+		fold(w, v4).RenderOrgTable(8)
 	}
 }
 
 // BenchmarkTable3_SpinConfiguration regenerates Table 3: the All Zero /
 // All One / Spin / Grease breakdown of QUIC domains.
 func BenchmarkTable3_SpinConfiguration(b *testing.B) {
-	_, v4, _, _ := fixture(b)
-	printFixture("t3", analysis.RenderSpinConfig(v4).String())
+	w, v4, _, _ := fixture(b)
+	printFixture("t3", fold(w, v4).RenderSpinConfig().String())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, v := range analysis.StandardViews() {
-			analysis.SpinConfig(v4, v)
-		}
+		fold(w, v4).ConfigRows()
 	}
 }
 
@@ -124,25 +138,22 @@ func BenchmarkTable3_SpinConfiguration(b *testing.B) {
 // weeks with spin activity across the 12-week campaign next to the
 // RFC 9000 (1-in-16) and RFC 9312 (1-in-8) binomial reference shares.
 func BenchmarkFigure2_RFCCompliance(b *testing.B) {
-	_, _, _, weeks := fixture(b)
-	l := analysis.Longitudinally(weeks)
-	printFixture("f2", analysis.RenderLongitudinal(l).String())
+	w, _, _, weeks := fixture(b)
+	printFixture("f2", analysis.RenderLongitudinal(foldCampaign(w, weeks).Longitudinal()).String())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		analysis.Longitudinally(weeks)
+		foldCampaign(w, weeks).Longitudinal()
 	}
 }
 
 // BenchmarkTable4_IPv6Overview regenerates Table 4: the IPv6 view of the
 // adoption overview.
 func BenchmarkTable4_IPv6Overview(b *testing.B) {
-	_, _, v6, _ := fixture(b)
-	printFixture("t4", analysis.RenderOverview(v6).String())
+	w, _, v6, _ := fixture(b)
+	printFixture("t4", fold(w, v6).RenderOverview().String())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, v := range analysis.StandardViews() {
-			analysis.Overview(v6, v)
-		}
+		fold(w, v6).OverviewRows()
 	}
 }
 
@@ -150,45 +161,29 @@ func BenchmarkTable4_IPv6Overview(b *testing.B) {
 // absolute difference between the mean spin-bit estimate and the mean
 // stack estimate, for Spin/Grease in received (R) and sorted (S) order.
 func BenchmarkFigure3_AbsoluteAccuracy(b *testing.B) {
-	_, v4, _, _ := fixture(b)
-	weeks := []*analysis.Week{v4}
-	printFixture("f3", analysis.RenderAccuracy(weeks, 3))
-	sets := accuracySets()
+	w, v4, _, _ := fixture(b)
+	printFixture("f3", fold(w, v4).RenderAccuracy(3))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, s := range sets {
-			analysis.AbsHistogram(weeks, s)
-		}
+		fold(w, v4).RenderAccuracy(3)
 	}
 }
 
 // BenchmarkFigure4_RelativeAccuracy regenerates Fig. 4: histograms of the
 // mapped ratio of means, plus the paper's §5.2 headline shares.
 func BenchmarkFigure4_RelativeAccuracy(b *testing.B) {
-	_, v4, _, _ := fixture(b)
-	weeks := []*analysis.Week{v4}
-	h := analysis.Headlines(weeks)
-	ri := analysis.Reordering(weeks)
-	printFixture("f4", analysis.RenderAccuracy(weeks, 4)+fmt.Sprintf(
+	w, v4, _, _ := fixture(b)
+	acc := fold(w, v4)
+	h := acc.Headlines()
+	ri := analysis.Reordering(v4.Domains)
+	printFixture("f4", acc.RenderAccuracy(4)+fmt.Sprintf(
 		"headlines (Spin R, n=%d): overestimate=%.1f%% within-25ms=%.1f%% >200ms=%.1f%% within-25%%=%.1f%% within-2x=%.1f%% >3x=%.1f%%\n"+
 			"reordering impact: %d/%d connections differ between R and S\n",
 		h.N, h.OverestimateShare*100, h.Within25ms*100, h.Over200ms*100,
 		h.Within25pct*100, h.Within2x*100, h.Over3x*100, ri.Differing, ri.Conns))
-	sets := accuracySets()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, s := range sets {
-			analysis.RatioHistogram(weeks, s)
-		}
-	}
-}
-
-func accuracySets() []analysis.AccuracySet {
-	return []analysis.AccuracySet{
-		{Class: analysis.ClassSpin},
-		{Class: analysis.ClassSpin, Sorted: true},
-		{Class: analysis.ClassGrease},
-		{Class: analysis.ClassGrease, Sorted: true},
+		fold(w, v4).RenderAccuracy(4)
 	}
 }
 
@@ -415,13 +410,11 @@ func spinAccuracyForBody(body int) float64 {
 	prof.LegacyOrgs = nil
 	w := websim.Generate(prof)
 	res := mustRun(w, scanner.Config{Week: 1, Engine: scanner.EngineEmulated, Seed: 5, Workers: 1})
-	wk := analysis.Analyze(res)
 	var sum float64
 	n := 0
-	for i := range wk.Domains {
-		for j := range wk.Domains[i].Conns {
-			c := &wk.Domains[i].Conns[j]
-			if c.HasAccuracy {
+	for i := range res.Domains {
+		for j := range res.Domains[i].Conns {
+			if c := analysis.AnalyzeConn(&res.Domains[i].Conns[j]); c.HasAccuracy {
 				sum += c.RatioR
 				n++
 			}

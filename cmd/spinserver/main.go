@@ -65,16 +65,18 @@ func main() {
 			},
 		}
 	})
+	// One body serves every request: the server queues it as a borrowed
+	// slice and never writes to it.
+	payload := make([]byte, *body)
+	for i := range payload {
+		payload[i] = byte('a' + i%26)
+	}
 	srv := h3.NewServer(func(peer string, req *h3.Request) *h3.Response {
 		log.Printf("%s GET %s%s", peer, req.Authority, req.Path)
-		b := make([]byte, *body)
-		for i := range b {
-			b[i] = byte('a' + i%26)
-		}
 		return &h3.Response{
 			Status:  200,
 			Headers: map[string]string{"server": *serverHdr, "content-type": "text/html"},
-			Body:    b,
+			Body:    payload,
 		}
 	})
 	runner := udprun.NewEndpointRunner(ep, pc)

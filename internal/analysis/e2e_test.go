@@ -11,14 +11,18 @@ import (
 
 // The e2e tests share one scan fixture (IPv4 + IPv6, final campaign week)
 // at a scale large enough for IP-level shares to be statistically
-// meaningful. Individual tests then check the paper's Table/Figure shapes.
+// meaningful, folded into accumulators. The IPv4 week is also the sole
+// week of fxCamp (Fig. 2), and its scan is kept for Reordering. Individual
+// tests then check the paper's Table/Figure shapes.
 var (
 	fixtureOnce sync.Once
 	fxWorld     *websim.World
-	fxV4, fxV6  *Week
+	fxScanV4    *scanner.Result
+	fxCamp      *CampaignAccumulator
+	fxV4, fxV6  *Accumulator
 )
 
-func fixture(t *testing.T) (*websim.World, *Week, *Week) {
+func fixture(t *testing.T) (*websim.World, *Accumulator, *Accumulator) {
 	t.Helper()
 	fixtureOnce.Do(func() {
 		p := websim.DefaultProfile()
@@ -31,22 +35,22 @@ func fixture(t *testing.T) (*websim.World, *Week, *Week) {
 		if err4 != nil {
 			panic(err4)
 		}
-		fxV4 = Analyze(r4)
+		fxScanV4 = r4
+		fxCamp = NewCampaignAccumulator()
+		fxV4 = foldInto(fxCamp.StartWeek(r4.Week, r4.IPv6, fxWorld.ASDB()), r4)
 		r6, err6 := scanner.Run(fxWorld, scanner.Config{Week: week, IPv6: true, Engine: scanner.EngineEmulated, Seed: 99, Workers: 8})
 		if err6 != nil {
 			panic(err6)
 		}
-		fxV6 = Analyze(r6)
+		fxV6 = foldResult(r6, fxWorld.ASDB())
 	})
 	return fxWorld, fxV4, fxV6
 }
 
 func TestOverviewShapesIPv4(t *testing.T) {
 	_, wk, _ := fixture(t)
-	views := StandardViews()
-	top := Overview(wk, views[0])
-	zone := Overview(wk, views[1])
-	cno := Overview(wk, views[2])
+	rows := wk.OverviewRows()
+	top, zone, cno := rows[0], rows[1], rows[2]
 
 	if top.TotalDomains == 0 || zone.TotalDomains == 0 || cno.TotalDomains == 0 {
 		t.Fatalf("empty views: %+v %+v %+v", top, zone, cno)
@@ -76,8 +80,8 @@ func TestOverviewShapesIPv4(t *testing.T) {
 }
 
 func TestOrgTableShapes(t *testing.T) {
-	w, wk, _ := fixture(t)
-	rows := OrgTable(wk, w.ASDB(), StandardViews()[2], 8)
+	_, wk, _ := fixture(t)
+	rows := wk.orgs.finish(8)
 	if len(rows) < 5 {
 		t.Fatalf("too few org rows: %d", len(rows))
 	}
@@ -124,7 +128,7 @@ func TestOrgTableShapes(t *testing.T) {
 
 func TestSpinConfigShapes(t *testing.T) {
 	_, wk, _ := fixture(t)
-	r := SpinConfig(wk, StandardViews()[1])
+	r := wk.ConfigRows()[1]
 	if r.QUICDomains == 0 {
 		t.Fatal("no QUIC domains")
 	}
@@ -145,8 +149,8 @@ func TestSpinConfigShapes(t *testing.T) {
 
 func TestIPv6Shapes(t *testing.T) {
 	_, wk4, wk6 := fixture(t)
-	zone4 := Overview(wk4, StandardViews()[1])
-	zone6 := Overview(wk6, StandardViews()[1])
+	zone4 := wk4.OverviewRows()[1]
+	zone6 := wk6.OverviewRows()[1]
 	if zone6.ResolvedDomains >= zone4.ResolvedDomains {
 		t.Errorf("v6 resolved (%d) should be below v4 (%d)", zone6.ResolvedDomains, zone4.ResolvedDomains)
 	}
@@ -161,8 +165,8 @@ func TestIPv6Shapes(t *testing.T) {
 		t.Errorf("v6 QUIC IPs (%d) not above v4 (%d)", zone6.QUICIPs, zone4.QUICIPs)
 	}
 	// Toplist v6 domain spin share below the v4 share (2.3 % vs 6.9 %).
-	top4 := Overview(wk4, StandardViews()[0])
-	top6 := Overview(wk6, StandardViews()[0])
+	top4 := wk4.OverviewRows()[0]
+	top6 := wk6.OverviewRows()[0]
 	s4, s6 := share(top4.SpinDomains, top4.QUICDomains), share(top6.SpinDomains, top6.QUICDomains)
 	if s6 >= s4 {
 		t.Errorf("toplist v6 spin share %.3f not below v4 %.3f", s6, s4)
@@ -171,7 +175,7 @@ func TestIPv6Shapes(t *testing.T) {
 
 func TestAccuracyShapes(t *testing.T) {
 	_, wk, _ := fixture(t)
-	h := Headlines([]*Week{wk})
+	h := wk.Headlines()
 	if h.N < 100 {
 		t.Fatalf("only %d accuracy connections; population too small", h.N)
 	}
@@ -185,7 +189,7 @@ func TestAccuracyShapes(t *testing.T) {
 		t.Errorf("over-3x share = %.3f, want ≈0.517", h.Over3x)
 	}
 	// Reordering must be a non-issue (paper: 0.28 % differing).
-	ri := Reordering([]*Week{wk})
+	ri := Reordering(fxScanV4.Domains)
 	if ri.Conns == 0 {
 		t.Fatal("no reordering sample")
 	}
@@ -195,24 +199,23 @@ func TestAccuracyShapes(t *testing.T) {
 }
 
 func TestRenderersProduceTables(t *testing.T) {
-	w, wk, _ := fixture(t)
-	if s := RenderOverview(wk).String(); !strings.Contains(s, "CZDS") || !strings.Contains(s, "#IPs") {
+	_, wk, _ := fixture(t)
+	if s := wk.RenderOverview().String(); !strings.Contains(s, "CZDS") || !strings.Contains(s, "#IPs") {
 		t.Errorf("overview table:\n%s", s)
 	}
-	if s := RenderOrgTable(wk, w.ASDB(), 8).String(); !strings.Contains(s, "AS Organization") {
+	if s := wk.RenderOrgTable(8).String(); !strings.Contains(s, "AS Organization") {
 		t.Errorf("org table:\n%s", s)
 	}
-	if s := RenderSpinConfig(wk).String(); !strings.Contains(s, "All Zero") {
+	if s := wk.RenderSpinConfig().String(); !strings.Contains(s, "All Zero") {
 		t.Errorf("config table:\n%s", s)
 	}
-	if s := RenderAccuracy([]*Week{wk}, 3); !strings.Contains(s, "Figure 3") {
+	if s := wk.RenderAccuracy(3); !strings.Contains(s, "Figure 3") {
 		t.Errorf("fig 3 output:\n%s", s)
 	}
-	if s := RenderAccuracy([]*Week{wk}, 4); !strings.Contains(s, "Figure 4") {
+	if s := wk.RenderAccuracy(4); !strings.Contains(s, "Figure 4") {
 		t.Errorf("fig 4 output:\n%s", s)
 	}
-	l := Longitudinally([]*Week{wk})
-	if s := RenderLongitudinal(l).String(); !strings.Contains(s, "RFC 9000") {
+	if s := RenderLongitudinal(fxCamp.Longitudinal()).String(); !strings.Contains(s, "RFC 9000") {
 		t.Errorf("fig 2 output:\n%s", s)
 	}
 }
@@ -236,8 +239,8 @@ func TestTableDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wk := Analyze(r)
-		return RenderOverview(wk).String(), RenderSpinConfig(wk).String()
+		a := foldResult(r, w.ASDB())
+		return a.RenderOverview().String(), a.RenderSpinConfig().String()
 	}
 	for _, eng := range []struct {
 		name string

@@ -11,12 +11,10 @@ import (
 	"quicspin/internal/stats"
 )
 
-// Fold objects: each aggregate's per-domain increment, shared between the
-// batch functions (Overview, SpinConfig, OrgTable, SoftwareTable, the
-// renderers) and the streaming Accumulator. Both paths execute the same
-// add() methods, so a streamed campaign renders byte-identical tables to a
-// batch-analysed one — the folds ARE the aggregation logic, the batch
-// entry points merely drive them over a materialised Week.
+// Fold objects: each aggregate's per-domain increment. The Accumulator
+// drives them domain by domain and the renderers format their finished
+// state; they are the only aggregation code, so every binary and test that
+// renders a table runs the same add() methods.
 
 // ipState tracks whether an IP ever carried a QUIC or spinning connection.
 type ipState struct{ quic, spin bool }
@@ -187,7 +185,9 @@ func (f *orgFold) finish(topN int) []OrgRow {
 	return append(rows[:topN:topN], other)
 }
 
-// softwareFold accumulates the §4.2 Server-header attribution.
+// softwareFold accumulates the §4.2 Server-header attribution over QUIC
+// connections restricted — like the paper — to those where the header could
+// be matched unambiguously (i.e. a response was received).
 type softwareFold struct {
 	v   View
 	agg map[string]*SoftwareRow
@@ -324,11 +324,11 @@ func (f *longFold) finish(n int) Longitudinal {
 }
 
 // accuracySets enumerates the four Fig. 3/4 panels in render order.
-var accuracySets = [4]AccuracySet{
-	{Class: ClassSpin},
-	{Class: ClassSpin, Sorted: true},
-	{Class: ClassGrease},
-	{Class: ClassGrease, Sorted: true},
+var accuracySets = [4]accuracySet{
+	{class: ClassSpin},
+	{class: ClassSpin, sorted: true},
+	{class: ClassGrease},
+	{class: ClassGrease, sorted: true},
 }
 
 var accuracySetNames = [4]string{"Spin (R)", "Spin (S)", "Grease (R)", "Grease (S)"}
@@ -359,11 +359,11 @@ func (f *accuracyFold) add(da *DomainAnalysis) {
 			continue
 		}
 		for si, set := range accuracySets {
-			if c.Class != set.Class {
+			if c.Class != set.class {
 				continue
 			}
 			d, r := c.AbsR, c.RatioR
-			if set.Sorted {
+			if set.sorted {
 				d, r = c.AbsS, c.RatioS
 			}
 			f.abs[si].Add(float64(d) / float64(time.Millisecond))

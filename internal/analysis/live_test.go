@@ -24,14 +24,14 @@ func TestLiveDoesNotChangeTables(t *testing.T) {
 	if err := scanner.RunStream(world, cfg, plain.Sink()); err != nil {
 		t.Fatalf("RunStream plain: %v", err)
 	}
-	golden := renderStreamWeek(plain)
+	golden := renderWeek(plain)
 
 	live := NewLive(100, 8)
 	acc := NewAccumulator(cfg.Week, cfg.IPv6, world.ASDB())
 	if err := scanner.RunStream(world, cfg, live.Sink(acc)); err != nil {
 		t.Fatalf("RunStream live: %v", err)
 	}
-	if got := renderStreamWeek(acc); got != golden {
+	if got := renderWeek(acc); got != golden {
 		t.Error("dashboard-wrapped streaming rendering differs from plain sink")
 	}
 

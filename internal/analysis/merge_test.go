@@ -90,7 +90,7 @@ func TestMergeProperties(t *testing.T) {
 		t.Run(mc.name, func(t *testing.T) {
 			world, res := scanCase(t, mc)
 			n := len(res.Domains)
-			golden := renderStreamWeek(accOver(world, res, 0, n))
+			golden := renderWeek(accOver(world, res, 0, n))
 
 			t.Run("identity", func(t *testing.T) {
 				// empty ⊕ whole == whole == whole ⊕ empty.
@@ -98,14 +98,14 @@ func TestMergeProperties(t *testing.T) {
 				if err := empty.Merge(accOver(world, res, 0, n)); err != nil {
 					t.Fatal(err)
 				}
-				if got := renderStreamWeek(empty); got != golden {
+				if got := renderWeek(empty); got != golden {
 					t.Errorf("empty.Merge(whole) diverges from fold-of-whole")
 				}
 				whole := accOver(world, res, 0, n)
 				if err := whole.Merge(NewAccumulator(res.Week, res.IPv6, world.ASDB())); err != nil {
 					t.Fatal(err)
 				}
-				if got := renderStreamWeek(whole); got != golden {
+				if got := renderWeek(whole); got != golden {
 					t.Errorf("whole.Merge(empty) diverges from fold-of-whole")
 				}
 			})
@@ -119,7 +119,7 @@ func TestMergeProperties(t *testing.T) {
 							t.Fatal(err)
 						}
 					}
-					if got := renderStreamWeek(merged); got != golden {
+					if got := renderWeek(merged); got != golden {
 						t.Errorf("merge of %d splits diverges from fold-of-whole", k)
 					}
 				}
@@ -133,7 +133,7 @@ func TestMergeProperties(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				if got := renderStreamWeek(merged); got != golden {
+				if got := renderWeek(merged); got != golden {
 					t.Errorf("reverse-order merge diverges from fold-of-whole")
 				}
 			})
@@ -158,7 +158,7 @@ func TestMergeProperties(t *testing.T) {
 				if err := right.Merge(bc); err != nil {
 					t.Fatal(err)
 				}
-				gl, gr := renderStreamWeek(left), renderStreamWeek(right)
+				gl, gr := renderWeek(left), renderWeek(right)
 				if gl != gr {
 					t.Errorf("(a⊕b)⊕c and a⊕(b⊕c) render differently")
 				}
@@ -177,7 +177,7 @@ func TestMergeProperties(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				if got := renderStreamWeek(merged); got != golden {
+				if got := renderWeek(merged); got != golden {
 					t.Errorf("serialized merge diverges from fold-of-whole")
 				}
 			})
@@ -228,7 +228,7 @@ func TestCampaignMerge(t *testing.T) {
 		out += c.RenderAccuracy(3)
 		out += c.RenderAccuracy(4)
 		for _, a := range c.Weeks() {
-			out += renderStreamWeek(a)
+			out += renderWeek(a)
 		}
 		return out
 	}

@@ -17,10 +17,10 @@ func TestSoftwareTableSynthetic(t *testing.T) {
 		}
 		return c, a
 	}
-	w := &Week{}
+	f := newSoftwareFold(StandardViews()[1])
 	add := func(server string, spin bool) {
 		c, a := mk(server, spin)
-		w.Domains = append(w.Domains, DomainAnalysis{
+		f.add(&DomainAnalysis{
 			Src:   &scanner.DomainResult{Domain: "d", TLD: "com", Resolved: true, Conns: []scanner.ConnResult{c}},
 			Conns: []Conn{a},
 		})
@@ -31,17 +31,17 @@ func TestSoftwareTableSynthetic(t *testing.T) {
 	add("nginx", false)
 	add("imunify360-webshield", true)
 
-	rows := SoftwareTable(w, StandardViews()[1])
+	rows := f.finish()
 	if len(rows) != 3 {
 		t.Fatalf("rows = %+v", rows)
 	}
 	if rows[0].Software != "LiteSpeed" || rows[0].Conns != 3 || rows[0].SpinConns != 2 {
 		t.Errorf("top row = %+v", rows[0])
 	}
-	if got := SpinShareOfSoftware(rows, "LiteSpeed"); got != 2.0/3 {
+	if got := spinShareOfSoftware(rows, "LiteSpeed"); got != 2.0/3 {
 		t.Errorf("LiteSpeed spin share = %v", got)
 	}
-	if got := SpinShareOfSoftware(nil, "x"); got != 0 {
+	if got := spinShareOfSoftware(nil, "x"); got != 0 {
 		t.Errorf("empty share = %v", got)
 	}
 }
@@ -51,12 +51,12 @@ func TestSoftwareTableSynthetic(t *testing.T) {
 // LiteSpeed (plus imunify360-webshield, its suspected derivative).
 func TestLiteSpeedCarriesSpinSupport(t *testing.T) {
 	_, wk, _ := fixture(t)
-	rows := SoftwareTable(wk, StandardViews()[1])
+	rows := wk.software.finish()
 	if len(rows) == 0 {
 		t.Fatal("no software rows")
 	}
-	ls := SpinShareOfSoftware(rows, websim.SoftLiteSpeed) +
-		SpinShareOfSoftware(rows, websim.SoftImunify)
+	ls := spinShareOfSoftware(rows, websim.SoftLiteSpeed) +
+		spinShareOfSoftware(rows, websim.SoftImunify)
 	if ls < 0.8 {
 		t.Errorf("LiteSpeed(+imunify) share of spinning conns = %.3f, want > 0.8 (paper: >80%%)", ls)
 	}
@@ -66,7 +66,23 @@ func TestLiteSpeedCarriesSpinSupport(t *testing.T) {
 			t.Errorf("%s shows %d spinning connections", r.Software, r.SpinConns)
 		}
 	}
-	if s := RenderSoftwareTable(wk, StandardViews()[1]).String(); !strings.Contains(s, "LiteSpeed") {
+	if s := wk.RenderSoftwareTable().String(); !strings.Contains(s, "LiteSpeed") {
 		t.Errorf("render:\n%s", s)
 	}
+}
+
+// spinShareOfSoftware returns the given software's share of all spinning
+// connections in the rows (the paper's ">80 % LiteSpeed" number).
+func spinShareOfSoftware(rows []SoftwareRow, software string) float64 {
+	var total, match int
+	for _, r := range rows {
+		total += r.SpinConns
+		if r.Software == software {
+			match += r.SpinConns
+		}
+	}
+	if total == 0 {
+		return 0
+	}
+	return float64(match) / float64(total)
 }

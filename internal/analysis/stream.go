@@ -7,17 +7,13 @@ import (
 	"quicspin/internal/stats"
 )
 
-// Accumulator is the streaming counterpart of Analyze + the batch
-// aggregate functions: it folds one week's scan results domain by domain
-// and can render every per-week table without ever retaining a per-domain
-// row. Feed it from scanner.RunStream via Sink (or call Add directly);
-// memory use is bounded by the aggregate state (IP/org/software/domain-name
-// maps), not by the population size.
-//
-// It drives the exact fold objects the batch functions drive, and the
-// renderers share the row-formatting helpers, so a streamed campaign's
-// tables are byte-identical to a batch-analysed one — the equivalence tests
-// in stream_test.go pin this.
+// Accumulator computes one week's tables and figures: it folds the week's
+// scan results domain by domain and can render every per-week table without
+// ever retaining a per-domain row. Feed it from scanner.RunStream via Sink,
+// or call Add over a materialised scanner.Result; memory use is bounded by
+// the aggregate state (IP/org/software/domain-name maps), not by the
+// population size. The equivalence tests in stream_test.go pin streamed
+// and materialised input to byte-identical tables.
 type Accumulator struct {
 	Week int
 	IPv6 bool
@@ -36,7 +32,7 @@ type Accumulator struct {
 
 // NewAccumulator prepares streaming aggregation for one measurement week.
 // res resolves connection IPs to AS organisations for Table 2 (it must be
-// the world's resolver, as with OrgTable).
+// the world's resolver).
 func NewAccumulator(week int, ipv6 bool, res *asdb.Resolver) *Accumulator {
 	a := &Accumulator{
 		Week:     week,
@@ -93,7 +89,7 @@ func (a *Accumulator) RenderOverview() *report.Table {
 	return renderOverviewTable(a.Week, a.IPv6, a.OverviewRows())
 }
 
-// RenderOrgTable renders Table 2 (com/net/org view, as in the batch path).
+// RenderOrgTable renders Table 2 for the com/net/org view.
 func (a *Accumulator) RenderOrgTable(topN int) *report.Table {
 	return renderOrgTable(a.Week, a.orgs.finish(topN))
 }
@@ -103,8 +99,7 @@ func (a *Accumulator) RenderSpinConfig() *report.Table {
 	return renderSpinConfigTable(a.Week, a.ConfigRows())
 }
 
-// RenderSoftwareTable renders the §4.2 attribution (CZDS view, matching
-// the batch summary).
+// RenderSoftwareTable renders the §4.2 attribution for the CZDS view.
 func (a *Accumulator) RenderSoftwareTable() *report.Table {
 	return renderSoftwareTable(a.software.v.Label, a.Week, a.software.finish())
 }
@@ -148,8 +143,7 @@ func (a *Accumulator) Headlines() AccuracyHeadlines {
 
 // CampaignAccumulator spans a multi-week campaign: it owns the shared
 // Fig. 2 fold (cross-week spin history by domain name) and merges the
-// weekly accuracy folds for campaign-level Figs. 3/4, mirroring the batch
-// pipeline's Longitudinally(weeks) and RenderAccuracy(weeks, fig).
+// weekly accuracy folds for campaign-level Figs. 3/4 and §5.2 headlines.
 type CampaignAccumulator struct {
 	long  *longFold
 	weeks []*Accumulator
@@ -188,7 +182,7 @@ func (c *CampaignAccumulator) Longitudinal() Longitudinal {
 }
 
 // RenderAccuracy renders campaign-level Fig. 3 or Fig. 4 panels over every
-// week's connections, like the batch RenderAccuracy(weeks, fig).
+// week's connections.
 func (c *CampaignAccumulator) RenderAccuracy(fig int) string {
 	merged := c.accuracy()
 	return renderAccuracyFrom(fig, func(i int) *stats.Histogram {
@@ -197,7 +191,7 @@ func (c *CampaignAccumulator) RenderAccuracy(fig int) string {
 }
 
 // Headlines returns the campaign's §5.2 headline accuracy shares over every
-// week's connections, like the batch Headlines(weeks).
+// week's connections.
 func (c *CampaignAccumulator) Headlines() AccuracyHeadlines {
 	return c.accuracy().headlines()
 }

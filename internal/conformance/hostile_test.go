@@ -66,17 +66,20 @@ func hostileWorld(t *testing.T, scale int) *websim.World {
 
 // renderTables renders the scan result through the full human-facing table
 // pipeline; byte-identical strings mean byte-identical tables.
-func renderTables(t *testing.T, res *scanner.Result) string {
+func renderTables(t *testing.T, world *websim.World, res *scanner.Result) string {
 	t.Helper()
-	wk := analysis.Analyze(res)
+	acc := analysis.NewAccumulator(res.Week, res.IPv6, world.ASDB())
+	for i := range res.Domains {
+		acc.Add(&res.Domains[i])
+	}
 	var b strings.Builder
-	if err := analysis.RenderOverview(wk).Render(&b); err != nil {
+	if err := acc.RenderOverview().Render(&b); err != nil {
 		t.Fatal(err)
 	}
-	if err := analysis.RenderSpinConfig(wk).Render(&b); err != nil {
+	if err := acc.RenderSpinConfig().Render(&b); err != nil {
 		t.Fatal(err)
 	}
-	if err := analysis.RenderErrorClasses(wk).Render(&b); err != nil {
+	if err := acc.RenderErrorClasses().Render(&b); err != nil {
 		t.Fatal(err)
 	}
 	return b.String()
@@ -132,7 +135,7 @@ func TestHostileChaosCampaign(t *testing.T) {
 		if err != nil {
 			t.Fatalf("emulated engine (workers=%d): %v", workers, err)
 		}
-		tables = append(tables, renderTables(t, res))
+		tables = append(tables, renderTables(t, world, res))
 		emuRes = res
 	}
 	for i := 1; i < len(tables); i++ {

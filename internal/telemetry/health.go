@@ -9,16 +9,15 @@ import (
 
 // Health tracks a long-running service's liveness and readiness for the
 // /livez and /readyz endpoints. Liveness is unconditional — the process is
-// alive as long as it answers. Readiness aggregates per-component states:
-// any component marked unready (a degraded checkpoint journal, a lost
+// alive as long as it answers. Readiness aggregates per-component probes:
+// any probe reporting unready (a degraded checkpoint journal, a lost
 // shard) flips /readyz to 503 with the reasons listed, which is what a
 // supervisor or load balancer keys restarts and traffic on. All methods
 // are safe for concurrent use; a nil *Health is a valid always-ready no-op
 // so wiring the endpoints is unconditional.
 type Health struct {
-	mu      sync.Mutex
-	unready map[string]string // component -> reason
-	checks  []healthCheck     // dynamic probes, evaluated per request
+	mu     sync.Mutex
+	checks []healthCheck // probes, evaluated per request
 }
 
 type healthCheck struct {
@@ -26,16 +25,15 @@ type healthCheck struct {
 	probe     func() (ready bool, reason string)
 }
 
-// NewHealth returns a Health that is ready until a component reports
+// NewHealth returns a Health that is ready until a probe reports
 // otherwise.
 func NewHealth() *Health {
-	return &Health{unready: map[string]string{}}
+	return &Health{}
 }
 
-// AddCheck registers a dynamic readiness probe evaluated on every Ready
-// call (and therefore every /readyz request) — the pull-based twin of
-// SetReady for states that already live elsewhere, like a telemetry gauge.
-// Nil-safe.
+// AddCheck registers a readiness probe evaluated on every Ready call (and
+// therefore every /readyz request), for states that live elsewhere, like a
+// telemetry gauge. Nil-safe.
 func (h *Health) AddCheck(component string, probe func() (ready bool, reason string)) {
 	if h == nil || component == "" || probe == nil {
 		return
@@ -45,24 +43,6 @@ func (h *Health) AddCheck(component string, probe func() (ready bool, reason str
 	h.checks = append(h.checks, healthCheck{component, probe})
 }
 
-// SetReady records one component's readiness. An unready component must
-// supply a reason; marking it ready again clears it. Nil-safe.
-func (h *Health) SetReady(component string, ready bool, reason string) {
-	if h == nil || component == "" {
-		return
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if ready {
-		delete(h.unready, component)
-		return
-	}
-	if reason == "" {
-		reason = "unready"
-	}
-	h.unready[component] = reason
-}
-
 // Ready reports overall readiness and the sorted "component: reason" list
 // when not. Nil-safe (always ready).
 func (h *Health) Ready() (bool, []string) {
@@ -70,12 +50,9 @@ func (h *Health) Ready() (bool, []string) {
 		return true, nil
 	}
 	h.mu.Lock()
-	var reasons []string
-	for c, r := range h.unready {
-		reasons = append(reasons, c+": "+r)
-	}
 	checks := h.checks
 	h.mu.Unlock()
+	var reasons []string
 	// Probes run outside the mutex: they may consult other locked state
 	// (telemetry snapshots) and must not be able to deadlock /readyz.
 	for _, c := range checks {

@@ -10,6 +10,12 @@ import (
 
 func TestHealthEndpoints(t *testing.T) {
 	h := NewHealth()
+	// Registered out of name order, so the sorted-reasons check has work.
+	var journalDegraded, shardLost bool
+	h.AddCheck("shard-3", func() (bool, string) { return !shardLost, "" })
+	h.AddCheck("checkpoint", func() (bool, string) {
+		return !journalDegraded, "journal degraded after storage failures"
+	})
 
 	get := func(hd http.Handler) (int, healthDoc) {
 		rr := httptest.NewRecorder()
@@ -28,8 +34,7 @@ func TestHealthEndpoints(t *testing.T) {
 		t.Fatalf("/readyz = %d, want 200 while ready", code)
 	}
 
-	h.SetReady("checkpoint", false, "journal degraded after storage failures")
-	h.SetReady("shard-3", false, "")
+	journalDegraded, shardLost = true, true
 	code, doc := get(h.ReadyHandler())
 	if code != http.StatusServiceUnavailable || doc.Status != "unready" {
 		t.Fatalf("/readyz = %d %+v, want 503 unready", code, doc)
@@ -43,15 +48,14 @@ func TestHealthEndpoints(t *testing.T) {
 	}
 
 	// Recovery clears the component.
-	h.SetReady("checkpoint", true, "")
-	h.SetReady("shard-3", true, "")
+	journalDegraded, shardLost = false, false
 	if code, _ := get(h.ReadyHandler()); code != 200 {
 		t.Fatalf("/readyz = %d after recovery, want 200", code)
 	}
 
 	// Nil-safety: always live, always ready.
 	var nh *Health
-	nh.SetReady("x", false, "y")
+	nh.AddCheck("x", func() (bool, string) { return false, "y" })
 	if ok, _ := nh.Ready(); !ok {
 		t.Fatal("nil Health not ready")
 	}

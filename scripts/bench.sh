@@ -315,6 +315,18 @@ check_transfer() {
     }' "$tmp/transfer.txt"
 }
 
+# Paper-table benchmarks (bench_test.go): one iteration each proves the
+# Tables 1-4 / Figs. 2-4 fixture still folds and renders; no gate.
+run_paper() { # $1 = scale
+    echo "== Benchmark(Table|Figure) at QUICSPIN_SCALE=$1" >&2
+    QUICSPIN_SCALE=$1 go test -run '^$' -bench '^Benchmark(Table|Figure)' \
+        -benchtime=1x . >"$tmp/paper.txt" 2>&1 || {
+        cat "$tmp/paper.txt" >&2
+        exit 1
+    }
+    grep -E '^Benchmark(Table|Figure)' "$tmp/paper.txt" >&2 || true
+}
+
 if [ "$mode" = smoke ]; then
     # A tiny population proves the harness still runs end to end; no
     # comparison — regressions are gated by the full run.
@@ -323,6 +335,7 @@ if [ "$mode" = smoke ]; then
     check_journal 100000
     check_flowtable
     check_transfer
+    run_paper 100000
     echo "bench smoke OK"
     exit 0
 fi
